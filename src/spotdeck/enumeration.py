@@ -11,6 +11,7 @@ canonical form.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import classify, fundamental_number, multiplicities
@@ -313,43 +314,23 @@ def census(order: int, max_cards: int | None = None, node_budget: int | None = N
     if max_cards is None:
         max_cards = fundamental_number(order)
     result = enumerate_decks(order, max_cards, node_budget)
-    entries: list[CensusEntry] = []
+    keyed: list[tuple[tuple, str]] = []
     for form in result.forms:
         deck = form.to_deck()
-        table = multiplicities(deck)
         tags = classify(deck)
-        verdict = is_maximal(deck)
-        entries.append(
-            CensusEntry(
-                order=order,
-                card_count=deck.card_count,
-                length=deck.length,
-                histogram=tuple(sorted(table.histogram.items())),
-                symmetric=tags.symmetric,
-                paired=tags.paired,
-                maximal=verdict.exact,
-                digest=form.digest(),
-            )
+        # the CensusEntry fields from card_count to maximal, in field order
+        key = (
+            deck.card_count,
+            deck.length,
+            tuple(sorted(multiplicities(deck).histogram.items())),
+            tags.symmetric,
+            tags.paired,
+            is_maximal(deck).exact,
         )
-    key_counts: dict[tuple, int] = {}
-    for entry in entries:
-        key = (entry.card_count, entry.length, entry.histogram, entry.symmetric, entry.paired, entry.maximal)
-        key_counts[key] = key_counts.get(key, 0) + 1
+        keyed.append((key, form.digest()))
+    key_counts = Counter(key for key, _ in keyed)
     entries = [
-        CensusEntry(
-            order=e.order,
-            card_count=e.card_count,
-            length=e.length,
-            histogram=e.histogram,
-            symmetric=e.symmetric,
-            paired=e.paired,
-            maximal=e.maximal,
-            digest=e.digest,
-            classes_with_key=key_counts[
-                (e.card_count, e.length, e.histogram, e.symmetric, e.paired, e.maximal)
-            ],
-        )
-        for e in entries
+        CensusEntry(order, *key, digest=digest, classes_with_key=key_counts[key]) for key, digest in keyed
     ]
     by_triple: dict[tuple[int, int, int], list[str]] = {}
     for entry in entries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import multiplicities
-from .deck import Deck, InvariantViolation, normalize, validate
+from .deck import Deck, InvariantViolation, _star_masks, normalize, validate
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,7 @@ def find_extension(deck: Deck) -> ExtensionCandidate | None:
     card exists.
     """
     n, c = deck.order, deck.card_count
-    star_masks = [0] * deck.length
-    for i, card in enumerate(deck.cards):
-        for s in card.symbols:
-            star_masks[s] |= 1 << i
+    star_masks = _star_masks(deck)
     hi = max((m.bit_count() for m in star_masks), default=0)
     full = (1 << c) - 1
 

@@ -5,7 +5,8 @@ the axioms with ``set`` intersections, enumeration is a raw generate-and-filter
 over normal-form card lists, and isomorphism classes are grouped by explicit
 bijection search.  The census golden files under ``tests/data`` are produced
 by this module (run it as a script) and the fast generator must agree with
-them exactly.
+them exactly.  ``pairwise_violations`` is the card-pair-by-card-pair axiom
+check that ``validate`` must reproduce violation for violation.
 """
 
 from __future__ import annotations
@@ -35,6 +36,41 @@ def deck_valid(cards) -> bool:
         for symbol in s:
             counts[symbol] = counts.get(symbol, 0) + 1
     return all(value >= 2 for value in counts.values())
+
+
+def pairwise_violations(deck) -> tuple[tuple, ...]:
+    """Every axiom violation of a normalized deck, D1 found by visiting all card pairs.
+
+    Each violation is the field tuple ``(axiom, message, cards, symbols,
+    count)`` of ``spotdeck.deck.Violation``, with the same order, messages and
+    witnesses as ``validate``: D5, then D3/D4 per card, D1 per pair (i, j) in
+    lexicographic order, D2 per symbol.
+    """
+    violations: list[tuple] = []
+    if deck.length < 1:
+        violations.append(("D5", "the deck has no symbols", (), (), 0))
+    for i, card in enumerate(deck.cards):
+        size = card.size
+        if size < 2:
+            violations.append(("D3", f"card {i} has only {size} symbol(s)", (i,), (), size))
+        if size != deck.order:
+            message = f"card {i} has {size} symbols, the first card has {deck.order}"
+            violations.append(("D4", message, (i,), (), size))
+    sets = [set(card.symbols) for card in deck.cards]
+    for i, j in combinations(range(len(sets)), 2):
+        shared = tuple(sorted(sets[i] & sets[j]))
+        if len(shared) != 1:
+            names = ", ".join(deck.tokens[s] for s in shared) or "nothing"
+            message = f"cards {i} and {j} share {len(shared)} symbols ({names})"
+            violations.append(("D1", message, (i, j), shared, len(shared)))
+    counts = [0] * deck.length
+    for card in sets:
+        for s in card:
+            counts[s] += 1
+    for s, m in enumerate(counts):
+        if m < 2:
+            violations.append(("D2", f"symbol {deck.tokens[s]!r} appears on {m} card(s)", (), (s,), m))
+    return tuple(violations)
 
 
 def multiplicity_histogram(cards) -> dict[int, int]:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import astuple
+from functools import partial
 
-from sample_decks import FANO_ROWS
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bruteforce import pairwise_violations
+from sample_decks import FANO_ROWS, PAIRED_4_TEXT, THREE_BLOCK_ROWS, TWO_SYM_3_ROWS
+from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, is_prime, max_blocks
 from spotdeck.deck import (
     MalformedCardError,
     normalize,
@@ -13,6 +19,7 @@ from spotdeck.deck import (
     symbol_multiplicities,
     validate,
 )
+from spotdeck.formats import parse_deck_text
 
 
 class TestNormalize:
@@ -110,6 +117,98 @@ class TestValidate:
         assert validate(parse_deck_text(render_deck_text(fano))).valid
         bad = normalize([["a", "b"], ["c", "d"]])
         assert not validate(parse_deck_text(render_deck_text(bad))).valid
+
+
+def rows_of(deck):
+    return [list(deck.card_tokens(i)) for i in range(deck.card_count)]
+
+
+def corrupted(deck, card, position=0):
+    """Replace one token of one card with a token no other card carries."""
+    rows = rows_of(deck)
+    rows[card][position] = "fresh"
+    return normalize(rows)
+
+
+def with_duplicate(deck, card):
+    rows = rows_of(deck)
+    return normalize(rows + [rows[card]])
+
+
+SAMPLES = {
+    "fano": partial(normalize, FANO_ROWS),
+    "two_sym_3": partial(normalize, TWO_SYM_3_ROWS),
+    "paired_4": partial(parse_deck_text, PAIRED_4_TEXT),
+    "three_block": partial(normalize, THREE_BLOCK_ROWS),
+    **{f"two_symmetric({n})": partial(build_two_symmetric, n) for n in range(2, 10)},
+    **{
+        f"grid_blocks({n},{k})": partial(build_grid_blocks, n, k)
+        for n in range(3, 10)
+        for k in range(2, max_blocks(n) + 1)
+    },
+    **{f"paired({n})": partial(build_paired, n) for n in range(3, 33) if is_prime(n - 1)},
+}
+
+
+def assert_matches_pairwise(deck):
+    assert tuple(astuple(v) for v in validate(deck).violations) == pairwise_violations(deck)
+
+
+@st.composite
+def random_decks(draw):
+    # a small symbol pool makes zero-overlap, multi-overlap and repeated cards common
+    pool = draw(st.integers(min_value=1, max_value=8))
+    symbols = st.integers(min_value=0, max_value=pool - 1)
+    cards = draw(
+        st.lists(st.lists(symbols, min_size=1, max_size=pool, unique=True), min_size=1, max_size=9)
+    )
+    return normalize(cards)
+
+
+class TestValidateMatchesPairwise:
+    """``validate`` must report exactly what the all-pairs oracle reports, in order."""
+
+    @pytest.mark.parametrize("name", list(SAMPLES))
+    def test_valid_sample(self, name):
+        deck = SAMPLES[name]()
+        assert_matches_pairwise(deck)
+        assert validate(deck).valid
+
+    @pytest.mark.parametrize("name", list(SAMPLES))
+    def test_one_token_corruption(self, name):
+        deck = SAMPLES[name]()
+        card = deck.card_count // 2
+        assert_matches_pairwise(corrupted(deck, card, card % deck.order))
+
+    @pytest.mark.parametrize("name", list(SAMPLES))
+    def test_duplicated_card(self, name):
+        deck = SAMPLES[name]()
+        assert_matches_pairwise(with_duplicate(deck, deck.card_count // 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_decks())
+    def test_random_decks(self, deck):
+        assert_matches_pairwise(deck)
+
+
+def test_validate_at_scale():
+    # paired(62) has 3783 cards; all card pairs would be about 7.2 million
+    n = 62
+    deck = build_paired(n)
+    assert validate(deck).valid
+    card = deck.card_count // 2
+    replaced = deck.rows[card][0]
+    bad = corrupted(deck, card)
+    others = [j for j in range(deck.card_count) if j != card and replaced in deck.cards[j]]
+    assert len(others) == n - 1
+    violations = validate(bad).violations
+    d1 = [v for v in violations if v.axiom == "D1"]
+    d2 = [v for v in violations if v.axiom == "D2"]
+    assert len(violations) == len(d1) + len(d2)
+    assert [v.cards for v in d1] == sorted(tuple(sorted((card, j))) for j in others)
+    assert all(v.count == 0 and v.symbols == () for v in d1)
+    assert len(d2) == 1
+    assert bad.tokens[d2[0].symbols[0]] == "fresh" and d2[0].count == 1
 
 
 class TestAlignment:
