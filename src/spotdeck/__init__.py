@@ -33,6 +33,7 @@ from .deck import (
     Card,
     Deck,
     DeckError,
+    InvalidDeckError,
     InvariantViolation,
     MalformedCardError,
     Star,

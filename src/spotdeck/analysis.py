@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constructions import build_paired, build_two_symmetric, is_prime
-from .deck import Deck, DeckError, InvariantViolation, symbol_multiplicities
+from .deck import Deck, DeckError, cross_check_failure, symbol_multiplicities
 
 
 class UnsupportedDeckError(DeckError):
@@ -182,7 +182,8 @@ def classify(deck: Deck) -> Classification:
 
     Symmetry is decided three ways (all multiplicities equal; c*n = l*hi;
     c = n*(hi-1)+1) and pairedness two ways (every symbol pair aligned;
-    c*C(n,2) = C(l,2)); any disagreement raises ``InvariantViolation``.  When
+    c*C(n,2) = C(l,2)); any disagreement raises ``InvariantViolation``, or
+    ``InvalidDeckError`` when the deck turns out to break an axiom.  When
     exactly two multiplicities occur, the per-card split is derived from the
     closed formulas and re-counted on every card.
     """
@@ -196,7 +197,8 @@ def classify(deck: Deck) -> Classification:
     sym_sum = c * n == length * hi
     sym_count = c == n * (hi - 1) + 1
     if not sym_all_equal == sym_sum == sym_count:
-        raise InvariantViolation(
+        raise cross_check_failure(
+            deck,
             f"symmetry tests disagree: all-equal={sym_all_equal}, "
             f"cn=l*hi is {sym_sum}, c=n(hi-1)+1 is {sym_count}"
         )
@@ -204,7 +206,8 @@ def classify(deck: Deck) -> Classification:
     paired_aligned = all(deck.aligned[s] == full for s in range(length))
     paired_count = c * math.comb(n, 2) == math.comb(length, 2)
     if paired_aligned != paired_count:
-        raise InvariantViolation(
+        raise cross_check_failure(
+            deck,
             f"paired tests disagree: all-pairs-aligned={paired_aligned}, "
             f"pair count identity={paired_count}"
         )
@@ -215,14 +218,15 @@ def classify(deck: Deck) -> Classification:
         low_numer = hi * n - c - n + 1
         high_numer = c + n - 1 - lo * n
         if low_numer % gap or high_numer % gap:
-            raise InvariantViolation("two-multiplicity split formulas are not integral")
+            raise cross_check_failure(deck, "two-multiplicity split formulas are not integral")
         n_low, n_high = low_numer // gap, high_numer // gap
         if n_low < 0 or n_high < 0 or n_low + n_high != n:
-            raise InvariantViolation(f"two-multiplicity split ({n_low}, {n_high}) is not a split of n")
+            raise cross_check_failure(deck, f"two-multiplicity split ({n_low}, {n_high}) is not a split of n")
         for index, card in enumerate(deck.cards):
             direct = sum(1 for s in card.symbols if counts[s] == lo)
             if direct != n_low:
-                raise InvariantViolation(
+                raise cross_check_failure(
+                    deck,
                     f"card {index} carries {direct} minimum-multiplicity symbols, formula says {n_low}"
                 )
         split = (n_low, n_high)
@@ -266,7 +270,7 @@ def check_kn2_lemma(deck: Deck, card_indices: list[int] | tuple[int, ...], k: in
     for s, h in enumerate(hits):
         if h >= k + 2:
             return s
-    raise InvariantViolation("no symbol lies on k+2 of the chosen cards; the input cannot be a valid deck")
+    raise cross_check_failure(deck, "no symbol lies on k+2 of the chosen cards of a valid deck")
 
 
 def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) -> tuple[int, int]:
@@ -293,7 +297,7 @@ def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) ->
     triple = next((s for s, h in enumerate(hits) if h >= 3), None)
     single = next((s for s, h in enumerate(hits) if h == 1), None)
     if triple is None or single is None:
-        raise InvariantViolation("guaranteed witnesses missing; the input cannot be a valid deck")
+        raise cross_check_failure(deck, "guaranteed witnesses missing on a valid deck")
     return triple, single
 
 

@@ -25,6 +25,10 @@ class MalformedCardError(DeckError):
     """A raw card lists the same symbol twice."""
 
 
+class InvalidDeckError(DeckError):
+    """A function that needs a valid deck was given one that breaks an axiom."""
+
+
 class InvariantViolation(RuntimeError):
     """Two provably-equivalent computations disagreed.
 
@@ -239,6 +243,21 @@ def validate(deck: Deck) -> ValidationResult:
                 Violation("D2", f"symbol {deck.tokens[s]!r} appears on {m} card(s)", symbols=(s,), count=m)
             )
     return ValidationResult(valid=not violations, violations=tuple(violations))
+
+
+def cross_check_failure(deck: Deck, message: str) -> InvalidDeckError | InvariantViolation:
+    """The error to raise when a cross-check proved for valid decks fails on ``deck``.
+
+    The deck is validated here, on the failure path only, so valid decks pay
+    nothing: an invalid deck gives ``InvalidDeckError`` and a valid one
+    ``InvariantViolation`` carrying ``message``.
+    """
+    result = validate(deck)
+    if result.valid:
+        return InvariantViolation(message)
+    return InvalidDeckError(
+        f"the deck is invalid: {len(result.violations)} violation(s), first: {result.violations[0].message}"
+    )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 Two decks are isomorphic when a symbol bijection maps cards onto cards.  The
 canonical form is the lexicographically smallest relabeling of the sorted
-card list; the generator emits each isomorphism class exactly once by only
-growing normal-form structures (cards strictly increasing, new symbols
-numbered on first use) and keeping the completed ones that equal their own
-canonical form.
+card list, found by a branch-and-bound over the labelings that prunes with
+the deck's automorphisms: every pair of labelings reaching the same form
+yields one, and children of a search node that such automorphisms map onto
+each other are searched once.  The generator emits each isomorphism class
+exactly once by only growing normal-form structures (cards strictly
+increasing, new symbols numbered on first use) and keeping the completed
+ones that equal their own canonical form.
 """
 
 from __future__ import annotations
@@ -51,11 +54,26 @@ class _FoundSmaller(Exception):
     """Raised to abort a seeded canonicity check once any smaller form appears."""
 
 
+def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
+    """The smallest superset of the symbol bitmask that every permutation maps into itself."""
+    frontier = mask
+    while frontier:
+        images = 0
+        for perm in perms:
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                images |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+        frontier = images & ~mask
+        mask |= frontier
+    return mask
+
+
 def _minimal_form(
     n: int,
     length: int,
     cards: list[tuple[int, ...]],
-    seed: list[tuple[int, ...]] | None = None,
     stop_below_seed: bool = False,
 ) -> tuple[tuple[int, ...], ...]:
     """Branch-and-bound over which old symbol receives each successive new id.
@@ -63,17 +81,40 @@ def _minimal_form(
     The bound pads every partially relabeled card with the smallest ids it
     could still receive; assigned ids always sit below pending ones, so each
     padded card is an elementwise lower bound of its completion and a branch
-    whose padded sorted list is not below the incumbent is dead.  ``seed``
-    primes the incumbent (it must be an achievable form); with
-    ``stop_below_seed`` the search raises ``_FoundSmaller`` as soon as any
-    strictly smaller complete form turns up, which makes "is this deck its
-    own canonical form" much cheaper than full canonicalization.
+    whose padded sorted list is above the incumbent is dead.
+
+    Branches whose bound equals the incumbent stay alive, so leaves equal to
+    it are reached.  Two labelings giving the same form differ by an
+    automorphism of the deck, which is recorded as a generator.  A node's
+    children are images of each other under every generator that fixes the
+    node's assigned symbols pointwise, with identical subtrees and bounds, so
+    only one child per orbit of those generators is searched (McKay &
+    Piperno, "Practical graph isomorphism, II").  When the incumbent is a
+    leaf searched earlier, the new automorphism also maps the rest of the
+    current branch, from where the two labelings part, onto a branch already
+    searched, so the search jumps back to that node.  The minimum is
+    unchanged.
+
+    With ``stop_below_seed`` the incumbent starts as the deck's own card
+    list under the identity labeling, and the search raises
+    ``_FoundSmaller`` as soon as any strictly smaller complete form turns
+    up, which makes "is this deck its own canonical form" much cheaper than
+    full canonicalization.  The seed is never searched as a leaf, so this
+    mode does not jump back.
     """
     member_cards: list[list[int]] = [[] for _ in range(length)]
     for index, card in enumerate(cards):
         for s in card:
             member_cards[s].append(index)
-    best: list[tuple[int, ...]] | None = list(seed) if seed is not None else None
+    best: list[tuple[int, ...]] | None = None
+    # best_path[i] is the old symbol that receives id i in the incumbent
+    best_path: list[int] = []
+    if stop_below_seed:
+        best = sorted(tuple(sorted(card)) for card in cards)
+        best_path = list(range(length))
+    # automorphisms found so far, each with the bitmask of the symbols it moves
+    generators: list[tuple[tuple[int, ...], int]] = []
+    path: list[int] = []
 
     # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
     filler = [
@@ -86,15 +127,29 @@ def _minimal_form(
         out.sort()
         return out
 
-    def search(k: int, partials: list[tuple[int, ...]], free: list[int]) -> None:
-        nonlocal best
+    def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
+        """Search below the node at depth ``k``; return the depth to resume at."""
+        nonlocal best, best_path
         if k == length:
-            bound = padded(partials, k)
-            if best is None or bound < best:
-                best = bound
+            form = padded(partials, k)
+            if best is None or form < best:
+                best = form
+                best_path = list(path)
                 if stop_below_seed:
                     raise _FoundSmaller
-            return
+            elif form == best:
+                perm = list(range(length))
+                for s, image in zip(path, best_path):
+                    perm[s] = image
+                moved = sum(1 << s for s in range(length) if perm[s] != s)
+                if moved:
+                    generators.append((tuple(perm), moved))
+                if not stop_below_seed:
+                    parting = 0
+                    while path[parting] == best_path[parting]:
+                        parting += 1
+                    return parting
+            return k
         ranked = []
         for s in free:
             child = list(partials)
@@ -102,12 +157,27 @@ def _minimal_form(
                 child[index] = child[index] + (k,)
             ranked.append((padded(child, k + 1), s, child))
         ranked.sort(key=lambda item: item[:2])
+        stabilizer: list[tuple[int, ...]] = []
+        known = 0  # generators already sorted into `stabilizer` or out of it
+        done = 0  # orbit closure of the children searched so far
         for child_bound, s, child in ranked:
-            if best is not None and child_bound >= best:
-                break  # ranked ascending, the rest cannot beat the best either
-            search(k + 1, child, [t for t in free if t != s])
+            if best is not None and child_bound > best:
+                break  # ranked ascending, the rest cannot reach the best either
+            if known < len(generators):
+                stabilizer += [perm for perm, moved in generators[known:] if not moved & fixed]
+                known = len(generators)
+                done = _orbit_closure(done, stabilizer)
+            if done >> s & 1:
+                continue  # an image of a child already searched
+            done = _orbit_closure(done | 1 << s, stabilizer)
+            path.append(s)
+            target = search(k + 1, child, [t for t in free if t != s], fixed | 1 << s)
+            path.pop()
+            if target < k:
+                return target
+        return k
 
-    search(0, [()] * len(cards), list(range(length)))
+    search(0, [()] * len(cards), list(range(length)), 0)
     assert best is not None
     return tuple(best)
 
@@ -115,11 +185,11 @@ def _minimal_form(
 def _is_self_canonical(n: int, length: int, cards: list[tuple[int, ...]]) -> bool:
     """True when the card list equals its own canonical form.
 
-    Seeds the incumbent with the list itself: every branch not strictly
-    below it dies immediately, and the first smaller form aborts the search.
+    Seeds the incumbent with the list itself: every branch above it dies
+    immediately, and the first smaller form aborts the search.
     """
     try:
-        _minimal_form(n, length, cards, seed=list(cards), stop_below_seed=True)
+        _minimal_form(n, length, cards, stop_below_seed=True)
     except _FoundSmaller:
         return False
     return True

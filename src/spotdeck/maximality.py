@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import multiplicities
-from .deck import Deck, InvariantViolation, _star_masks, normalize, validate
+from .deck import Deck, _star_masks, cross_check_failure, normalize, validate
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,19 @@ def is_maximal(deck: Deck) -> MaximalityVerdict:
 
     sufficient condition => subset-sum condition => no extension exists; any
     break in the chain, or an extension that fails re-validation, raises
-    ``InvariantViolation``.
+    ``InvariantViolation``, or ``InvalidDeckError`` when the input deck
+    breaks an axiom.
     """
     sufficient = sufficient_maximal(deck)
     prop_holds = prop_condition_holds(deck)
     extension = find_extension(deck)
     exact = extension is None
     if sufficient and not prop_holds:
-        raise InvariantViolation("min-sum test passed but some n multiplicities sum to c")
+        raise cross_check_failure(deck, "min-sum test passed but some n multiplicities sum to c")
     if prop_holds and not exact:
-        raise InvariantViolation("subset-sum condition held yet an extension card was found")
+        raise cross_check_failure(deck, "subset-sum condition held yet an extension card was found")
     if extension is not None and not validate(_with_card(deck, extension.symbols)).valid:
-        raise InvariantViolation("extension card does not yield a valid deck")
+        raise cross_check_failure(deck, "extension card does not yield a valid deck")
     return MaximalityVerdict(
         sufficient_corollary=sufficient,
         prop_condition=prop_holds,
@@ -150,6 +151,8 @@ def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
 
     Every intermediate deck is re-validated; a budget stop returns the
     partial deck flagged non-maximal when an extension is still pending.
+    An invalid input deck raises ``InvalidDeckError`` once an intermediate
+    deck fails validation.
     """
     current = deck
     added: list[ExtensionCandidate] = []
@@ -159,6 +162,6 @@ def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
             return CompletionResult(current, tuple(added), True)
         current = _with_card(current, extension.symbols)
         if not validate(current).valid:
-            raise InvariantViolation("completion produced an invalid intermediate deck")
+            raise cross_check_failure(deck, "completion produced an invalid intermediate deck")
         added.append(extension)
     return CompletionResult(current, tuple(added), find_extension(current) is None)

@@ -7,6 +7,9 @@ bijection search.  The census golden files under ``tests/data`` are produced
 by this module (run it as a script) and the fast generator must agree with
 them exactly.  ``pairwise_violations`` is the card-pair-by-card-pair axiom
 check that ``validate`` must reproduce violation for violation.
+``bnb_minimal_form`` and ``bnb_is_self_canonical`` are the lex-min
+branch-and-bound without automorphism pruning, which the package's pruned
+search must reproduce form for form and verdict for verdict.
 """
 
 from __future__ import annotations
@@ -191,6 +194,80 @@ def brute_min_form(cards, length: int) -> tuple[tuple[int, ...], ...]:
         if best is None or form < best:
             best = form
     return best
+
+
+class _FoundSmaller(Exception):
+    """Raised to abort a seeded canonicity check once any smaller form appears."""
+
+
+def bnb_minimal_form(
+    n: int,
+    length: int,
+    cards: list[tuple[int, ...]],
+    seed: list[tuple[int, ...]] | None = None,
+    stop_below_seed: bool = False,
+) -> tuple[tuple[int, ...], ...]:
+    """Branch-and-bound over which old symbol receives each successive new id.
+
+    The bound pads every partially relabeled card with the smallest ids it
+    could still receive; assigned ids always sit below pending ones, so each
+    padded card is an elementwise lower bound of its completion and a branch
+    whose padded sorted list is not below the incumbent is dead.  ``seed``
+    primes the incumbent (it must be an achievable form); with
+    ``stop_below_seed`` the search raises ``_FoundSmaller`` as soon as any
+    strictly smaller complete form turns up.  No automorphism is used, so
+    every labeling that could still beat the incumbent is visited.
+    """
+    member_cards: list[list[int]] = [[] for _ in range(length)]
+    for index, card in enumerate(cards):
+        for s in card:
+            member_cards[s].append(index)
+    best: list[tuple[int, ...]] | None = list(seed) if seed is not None else None
+
+    # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
+    filler = [
+        [tuple(range(k, k + need)) for need in range(n + 1)] for k in range(length + 1)
+    ]
+
+    def padded(partials: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+        fills = filler[k]
+        out = [part + fills[n - len(part)] for part in partials]
+        out.sort()
+        return out
+
+    def search(k: int, partials: list[tuple[int, ...]], free: list[int]) -> None:
+        nonlocal best
+        if k == length:
+            bound = padded(partials, k)
+            if best is None or bound < best:
+                best = bound
+                if stop_below_seed:
+                    raise _FoundSmaller
+            return
+        ranked = []
+        for s in free:
+            child = list(partials)
+            for index in member_cards[s]:
+                child[index] = child[index] + (k,)
+            ranked.append((padded(child, k + 1), s, child))
+        ranked.sort(key=lambda item: item[:2])
+        for child_bound, s, child in ranked:
+            if best is not None and child_bound >= best:
+                break  # ranked ascending, the rest cannot beat the best either
+            search(k + 1, child, [t for t in free if t != s])
+
+    search(0, [()] * len(cards), list(range(length)))
+    assert best is not None
+    return tuple(best)
+
+
+def bnb_is_self_canonical(n: int, length: int, cards: list[tuple[int, ...]]) -> bool:
+    """True when the card list equals its own canonical form, by the unpruned search."""
+    try:
+        bnb_minimal_form(n, length, cards, seed=list(cards), stop_below_seed=True)
+    except _FoundSmaller:
+        return False
+    return True
 
 
 def oracle_census(order: int, max_cards: int) -> dict:

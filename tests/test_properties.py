@@ -33,15 +33,16 @@ def built_decks(draw):
 
 @st.composite
 def small_decks(draw):
-    # kept small enough that canonical labeling stays fast
+    # includes paired(4), two-symmetric(5) and grid(4,3), whose large
+    # automorphism groups are where the canonical search prunes
     kind = draw(st.sampled_from(["two_sym", "grid", "paired"]))
     if kind == "two_sym":
-        return build_two_symmetric(draw(st.integers(min_value=2, max_value=4)))
+        return build_two_symmetric(draw(st.integers(min_value=2, max_value=5)))
     if kind == "grid":
         n = draw(st.sampled_from([3, 4]))
         k = draw(st.integers(min_value=2, max_value=max_blocks(n)))
         return build_grid_blocks(n, k)
-    return build_paired(3)
+    return build_paired(draw(st.sampled_from([3, 4])))
 
 
 def relabeled(deck, seed):
