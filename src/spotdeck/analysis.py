@@ -28,6 +28,13 @@ def fundamental_number(n: int) -> int:
     return n * n - n + 1
 
 
+def _deck_fundamental(deck: Deck) -> int:
+    """The fundamental number of the deck's order; a first card of one symbol breaks D3."""
+    if deck.order < 2:
+        raise cross_check_failure(deck, "the first card has fewer than two symbols")
+    return fundamental_number(deck.order)
+
+
 @dataclass(frozen=True)
 class MultiplicityTable:
     """Per-symbol card counts with their extremes and histogram."""
@@ -75,12 +82,13 @@ def check_identities(deck: Deck) -> IdentityReport:
     """Evaluate every multiplicity identity and bound on a valid deck.
 
     All arithmetic is integer-exact; the mean inequality cn/l <= (c+n-1)/n is
-    checked as cn*n <= l*(c+n-1).
+    checked as cn*n <= l*(c+n-1).  A deck whose first card has fewer than
+    two symbols raises ``InvalidDeckError``.
     """
     table = multiplicities(deck)
     counts, lo, hi = table.counts, table.lo, table.hi
     n, c, length = deck.order, deck.card_count, deck.length
-    delta = fundamental_number(n)
+    delta = _deck_fundamental(deck)
     full = (1 << length) - 1
 
     card_sums = tuple(sum(counts[s] for s in card.symbols) for card in deck.cards)
@@ -190,7 +198,7 @@ def classify(deck: Deck) -> Classification:
     table = multiplicities(deck)
     counts, lo, hi = table.counts, table.lo, table.hi
     n, c, length = deck.order, deck.card_count, deck.length
-    delta = fundamental_number(n)
+    delta = _deck_fundamental(deck)
     full = (1 << length) - 1
 
     sym_all_equal = lo == hi

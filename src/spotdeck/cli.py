@@ -16,6 +16,7 @@ from .analysis import (
     check_kn2_lemma,
     classify,
     find_common_triple,
+    fundamental_number,
     multiplicities,
 )
 from .constructions import build_grid_blocks, build_paired, build_two_symmetric
@@ -41,9 +42,20 @@ def _budget(value: int) -> int | None:
     return value if value > 0 else None
 
 
-def _print_violations(deck: Deck, violations) -> None:
+def _print_violations(violations) -> None:
     for violation in violations:
         print(f"{violation.axiom}: {violation.message}", file=sys.stderr)
+
+
+def _load_valid(path: str) -> Deck | None:
+    """The deck in the file, or ``None`` after reporting its violations."""
+    deck = _load(path)
+    result = validate(deck)
+    if result.valid:
+        return deck
+    print(f"invalid: {len(result.violations)} violation(s)")
+    _print_violations(result.violations)
+    return None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -62,16 +74,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"valid: n={deck.order} c={deck.card_count} l={deck.length}")
         return EXIT_OK
     print(f"invalid: {len(result.violations)} violation(s)")
-    _print_violations(deck, result.violations)
+    _print_violations(result.violations)
     return EXIT_FAIL
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    deck = _load(args.file)
-    result = validate(deck)
-    if not result.valid:
-        print(f"invalid: {len(result.violations)} violation(s)")
-        _print_violations(deck, result.violations)
+    deck = _load_valid(args.file)
+    if deck is None:
         return EXIT_FAIL
     table = multiplicities(deck)
     report = check_identities(deck)
@@ -146,11 +155,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_maximal(args: argparse.Namespace) -> int:
-    deck = _load(args.file)
-    result = validate(deck)
-    if not result.valid:
-        print(f"invalid: {len(result.violations)} violation(s)")
-        _print_violations(deck, result.violations)
+    deck = _load_valid(args.file)
+    if deck is None:
         return EXIT_FAIL
     verdict = is_maximal(deck)
     extension_tokens = (
@@ -179,11 +185,8 @@ def cmd_maximal(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    deck = _load(args.file)
-    result = validate(deck)
-    if not result.valid:
-        print(f"invalid: {len(result.violations)} violation(s)")
-        _print_violations(deck, result.violations)
+    deck = _load_valid(args.file)
+    if deck is None:
         return EXIT_FAIL
     outcome = complete(deck, args.steps)
     if args.json:
@@ -198,8 +201,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .analysis import fundamental_number
-
     max_cards = args.cmax if args.cmax is not None else fundamental_number(args.n)
     result = enumerate_decks(args.n, max_cards, _budget(args.budget))
     if args.json:
@@ -301,11 +302,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
-    deck = _load(args.file)
-    result = validate(deck)
-    if not result.valid:
-        print(f"invalid: {len(result.violations)} violation(s)")
-        _print_violations(deck, result.violations)
+    deck = _load_valid(args.file)
+    if deck is None:
         return EXIT_FAIL
     try:
         indices = [int(part) for part in args.cards.split(",") if part.strip() != ""]
@@ -428,10 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (DeckError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DeckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

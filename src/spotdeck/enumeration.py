@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .analysis import classify, fundamental_number, multiplicities
 from .deck import Deck, deck_from_cards
-from .maximality import is_maximal
+from .maximality import _transversals, is_maximal
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,11 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     symbols take the next unused ids, so every structure in the tree is in
     normal form.  The one-shared-symbol axiom and uniform card size hold at
     every step; only the two-cards-per-symbol axiom may be pending while the
-    structure is partial.  A completed structure is emitted when it is fully
-    valid and equal to its own canonical form.
+    structure is partial.  A next card meets every card once, so it is a set
+    of existing symbols whose stars partition the cards, padded with fresh
+    ids; ``maximality._transversals``, the search that also finds extension
+    cards, lists those sets.  A completed structure is emitted when it is
+    fully valid and equal to its own canonical form.
 
     The node budget counts visited search states; an exhausted budget stops
     the walk deterministically and flags the result incomplete.
@@ -255,42 +258,29 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     overflow = False
 
     state_cards: list[tuple[int, ...]] = [tuple(range(order))]
-    counts: list[int] = [1] * order
+    # stars[s]: bitmask of the cards carrying s; aligned[s]: symbols sharing a card with s
     aligned: list[int] = [(1 << order) - 1] * order
     stars: list[int] = [1] * order
 
     def candidates() -> list[tuple[int, ...]]:
         """Next cards: a transversal of existing symbols plus fresh ids, above the last card."""
-        c = len(state_cards)
-        full = (1 << c) - 1
-        used = len(counts)
+        used = len(stars)
         last = state_cards[-1]
         outs: list[tuple[int, ...]] = []
 
-        def pick(chosen: list[int], covered: int, banned: int) -> None:
-            if covered == full:
-                fill = order - len(chosen)
-                card = tuple(sorted(chosen)) + tuple(range(used, used + fill))
-                if card > last:
-                    outs.append(card)
-                return
-            if len(chosen) == order:
-                return
-            rest = ~covered & full
-            pivot = (rest & -rest).bit_length() - 1
-            for s in state_cards[pivot]:
-                if banned >> s & 1:
-                    continue
-                pick(chosen + [s], covered | stars[s], banned | aligned[s])
+        def visit(chosen: list[int]) -> bool:
+            card = tuple(sorted(chosen)) + tuple(range(used, used + order - len(chosen)))
+            if card > last:
+                outs.append(card)
+            return False
 
-        pick([], 0, 0)
+        _transversals(state_cards, stars, aligned, order, visit)
         outs.sort()
         return outs
 
     def push(card: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-        fresh = sum(1 for s in card if s >= len(counts))
+        fresh = sum(1 for s in card if s >= len(stars))
         for _ in range(fresh):
-            counts.append(0)
             aligned.append(0)
             stars.append(0)
         mask = 0
@@ -301,7 +291,6 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         for s in card:
             undo.append((s, aligned[s]))
             aligned[s] |= mask
-            counts[s] += 1
             stars[s] |= bit
         state_cards.append(card)
         return undo, fresh
@@ -311,10 +300,8 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         bit = 1 << len(state_cards)
         for s, previous in undo:
             aligned[s] = previous
-            counts[s] -= 1
             stars[s] &= ~bit
         for _ in range(fresh):
-            counts.pop()
             aligned.pop()
             stars.pop()
 
@@ -325,9 +312,9 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
             return
         if (
             len(state_cards) >= 2
-            and all(m >= 2 for m in counts)
-            and not _improvable_by_transposition(state_cards, len(counts))
-            and _is_self_canonical(order, len(counts), state_cards)
+            and all(m & (m - 1) for m in stars)  # every symbol on two cards or more
+            and not _improvable_by_transposition(state_cards, len(stars))
+            and _is_self_canonical(order, len(stars), state_cards)
         ):
             found.append(CanonicalForm(cards=tuple(state_cards)))
         if len(state_cards) >= max_cards:

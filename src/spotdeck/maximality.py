@@ -4,11 +4,15 @@ A deck is maximal when no card of existing symbols can be added while keeping
 the axioms.  An extension card must consist of n pairwise non-aligned symbols
 whose stars partition the whole deck; only existing symbols qualify because a
 fresh symbol would sit on a single card of the extended deck and break D2.
+One exact-cover search, ``_transversals``, lists such sets of symbols: it
+finds extension cards here and generates the next cards of the census in
+:mod:`spotdeck.enumeration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .analysis import multiplicities
 from .deck import Deck, _star_masks, cross_check_failure, normalize, validate
@@ -69,38 +73,59 @@ def prop_condition_holds(deck: Deck) -> bool:
     return not dp[n] >> c & 1
 
 
+def _transversals(
+    cards: Sequence[Sequence[int]],
+    stars: Sequence[int],
+    aligned: Sequence[int],
+    n: int,
+    visit: Callable[[list[int]], bool],
+) -> bool:
+    """Call ``visit`` on every set of at most n symbols whose stars partition the cards.
+
+    ``stars[s]`` is the bitmask of the cards carrying symbol ``s`` and
+    ``aligned[s]`` the bitmask of the symbols sharing a card with it, ``s``
+    included.  The search is an exact cover (Knuth, "Dancing Links"): it
+    branches on the lowest-index card not yet covered, smallest symbol first,
+    skipping symbols aligned with anything already chosen, so every such set
+    is visited exactly once and in a fixed order.  ``visit`` gets the symbols
+    in the order they were chosen; returning true stops the search, and the
+    return value says whether that happened.
+    """
+    full = (1 << len(cards)) - 1
+
+    def extend(chosen: list[int], covered: int, banned: int) -> bool:
+        if covered == full:
+            return visit(chosen)
+        if len(chosen) == n:
+            return False
+        rest = ~covered & full
+        pivot = (rest & -rest).bit_length() - 1
+        for s in cards[pivot]:
+            if not banned >> s & 1 and extend(chosen + [s], covered | stars[s], banned | aligned[s]):
+                return True
+        return False
+
+    return extend([], 0, 0)
+
+
 def find_extension(deck: Deck) -> ExtensionCandidate | None:
     """Search for a card of n existing symbols meeting every card exactly once.
 
-    Branches on the lowest-index card not yet covered, smallest symbol first,
-    skipping symbols aligned with anything already chosen; the first hit is
-    therefore a deterministic witness.  Returns ``None`` when no extension
-    card exists.
+    The first set of n symbols that ``_transversals`` visits is returned, so
+    the witness is deterministic.  Returns ``None`` when no extension card
+    exists.
     """
-    n, c = deck.order, deck.card_count
-    star_masks = _star_masks(deck)
-    hi = max((m.bit_count() for m in star_masks), default=0)
-    full = (1 << c) - 1
+    found: list[tuple[int, ...]] = []
 
-    def extend(chosen: list[int], covered: int, banned: int) -> tuple[int, ...] | None:
-        if covered == full:
-            return tuple(chosen) if len(chosen) == n else None
-        if len(chosen) == n:
-            return None
-        if (n - len(chosen)) * hi < c - covered.bit_count():
-            return None
-        rest = ~covered & full
-        pivot = (rest & -rest).bit_length() - 1
-        for s in deck.cards[pivot].symbols:
-            if banned >> s & 1:
-                continue
-            found = extend(chosen + [s], covered | star_masks[s], banned | deck.aligned[s])
-            if found is not None:
-                return found
-        return None
+    def visit(chosen: list[int]) -> bool:
+        if len(chosen) == deck.order:
+            found.append(tuple(chosen))
+            return True
+        return False
 
-    found = extend([], 0, 0)
-    return ExtensionCandidate(symbols=found) if found is not None else None
+    cards = [card.symbols for card in deck.cards]
+    _transversals(cards, _star_masks(deck), deck.aligned, deck.order, visit)
+    return ExtensionCandidate(symbols=found[0]) if found else None
 
 
 def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:

@@ -10,6 +10,9 @@ check that ``validate`` must reproduce violation for violation.
 ``bnb_minimal_form`` and ``bnb_is_self_canonical`` are the lex-min
 branch-and-bound without automorphism pruning, which the package's pruned
 search must reproduce form for form and verdict for verdict.
+``normal_states`` counts the census search's nodes, and
+``exact_hitting_sets`` lists by ``combinations`` the symbol sets that the
+package's star-partition search must visit.
 """
 
 from __future__ import annotations
@@ -87,19 +90,19 @@ def multiplicity_histogram(cards) -> dict[int, int]:
     return hist
 
 
-def all_normal_decks(order: int, max_cards: int) -> list[list[tuple[int, ...]]]:
-    """Every valid deck as a normal-form card list, with no isomorph rejection.
+def normal_states(order: int, max_cards: int):
+    """Yield every normal-form state the raw generator visits, valid or not.
 
     Normal form: cards strictly increasing as sorted tuples, new symbols
-    numbered consecutively on first use.  Each isomorphism class shows up at
-    least once (usually many times); grouping happens afterwards.
+    numbered consecutively on first use, every card meeting each earlier card
+    in exactly one symbol.  The states start from the card 0..order-1 and stop
+    growing at ``max_cards`` cards, as in ``enumerate_decks``, so their count
+    is that search's node count.
     """
     first = tuple(range(order))
-    results: list[list[tuple[int, ...]]] = []
 
-    def rec(cards: list[tuple[int, ...]], used: int) -> None:
-        if deck_valid(cards):
-            results.append(list(cards))
+    def rec(cards: list[tuple[int, ...]], used: int):
+        yield cards
         if len(cards) == max_cards:
             return
         last = cards[-1]
@@ -113,10 +116,62 @@ def all_normal_decks(order: int, max_cards: int) -> list[list[tuple[int, ...]]]:
                 card = old + tuple(range(used, used + new_count))
                 if card <= last:
                     continue
-                rec(cards + [card], used + new_count)
+                yield from rec(cards + [card], used + new_count)
 
-    rec([first], order)
-    return results
+    yield from rec([first], order)
+
+
+def all_normal_decks(order: int, max_cards: int) -> list[list[tuple[int, ...]]]:
+    """Every valid deck as a normal-form card list, with no isomorph rejection.
+
+    Each isomorphism class shows up at least once (usually many times);
+    grouping happens afterwards.
+    """
+    return [cards for cards in normal_states(order, max_cards) if deck_valid(cards)]
+
+
+def exact_hitting_sets(cards, length: int, n: int) -> list[frozenset[int]]:
+    """Every set of 1..n symbols meeting each card in exactly one symbol.
+
+    Such a set is one whose stars (the cards carrying each symbol) are
+    pairwise disjoint and cover the deck.  Plain ``combinations`` over all
+    symbols is too slow for order-7 decks, so this meets in the middle: it
+    takes the combinations of at most n symbols with pairwise disjoint stars
+    from the lower half of the symbols, and likewise from the upper half, and
+    joins two of them when their stars are complementary.  Every result is
+    re-checked against the definition with set intersections.
+    """
+    stars = [0] * length
+    for index, card in enumerate(cards):
+        for s in card:
+            stars[s] |= 1 << index
+    full = (1 << len(cards)) - 1
+
+    def disjoint_unions(symbols) -> dict[int, list[tuple[int, ...]]]:
+        unions: dict[int, list[tuple[int, ...]]] = {}
+        for k in range(n + 1):
+            for combo in combinations(symbols, k):
+                union = 0
+                for s in combo:
+                    if union & stars[s]:
+                        break
+                    union |= stars[s]
+                else:
+                    unions.setdefault(union, []).append(combo)
+        return unions
+
+    half = length // 2
+    low = disjoint_unions(range(half))
+    high = disjoint_unions(range(half, length))
+    found = []
+    for union, lows in low.items():
+        for a in lows:
+            for b in high.get(full ^ union, ()):
+                if 1 <= len(a) + len(b) <= n:
+                    found.append(frozenset(a + b))
+    card_sets = [set(card) for card in cards]
+    assert all(len(card & chosen) == 1 for chosen in found for card in card_sets)
+    return found
 
 
 def _fingerprint(cards) -> tuple:

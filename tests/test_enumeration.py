@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes
+from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes, normal_states
 from sample_decks import TWO_SYM_3_ROWS
 from spotdeck.analysis import check_identities, fundamental_number
 from spotdeck.constructions import build_grid_blocks, build_two_symmetric, remove_cards
@@ -119,6 +119,12 @@ class TestEnumerate:
                 ]
                 assert len(matches) == 1
 
+    def test_node_count_matches_oracle_states(self):
+        # every normal-form state the raw generator visits is one search node
+        for order, c_max, nodes in ((2, 3, 6), (3, 7, 73), (4, 5, 974)):
+            assert enumerate_decks(order, c_max).nodes == nodes
+            assert sum(1 for _ in normal_states(order, c_max)) == nodes
+
     def test_budget_truncation(self):
         result = enumerate_decks(3, 7, node_budget=3)
         assert not result.complete
@@ -206,6 +212,8 @@ class TestOrderFour:
 
         result = enumerate_decks(4, 13, node_budget=100_000)
         assert result.complete
+        # the raw generator in tests/bruteforce.py visits as many states (about 90 s)
+        assert result.nodes == 46886
         table = []
         triples = set()
         for form in result.forms:

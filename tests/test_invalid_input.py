@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from spotdeck.analysis import check_kn2_lemma, classify, find_common_triple
+from spotdeck.analysis import check_identities, check_kn2_lemma, classify, find_common_triple
 from spotdeck.deck import (
     DeckError,
     InvalidDeckError,
@@ -38,6 +38,13 @@ def test_disjoint_pair(check):
 def test_cards_through_one_symbol(check):
     with pytest.raises(InvalidDeckError, match="appears on 1 card"):
         check(normalize(SHARED_HUB))
+
+
+@pytest.mark.parametrize("check", [classify, check_identities])
+def test_one_symbol_cards(check):
+    # the order is below 2, so the deck breaks D3 and has no fundamental number
+    with pytest.raises(InvalidDeckError, match="card 0 has only 1 symbol"):
+        check(normalize([["a"], ["b"]]))
 
 
 def test_kn2_lemma_on_disjoint_cards():

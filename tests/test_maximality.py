@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from bruteforce import exact_hitting_sets
 from spotdeck.analysis import multiplicities
 from spotdeck.constructions import (
     build_grid_blocks,
@@ -11,9 +12,10 @@ from spotdeck.constructions import (
     build_two_symmetric,
     remove_cards,
 )
-from spotdeck.deck import validate
+from spotdeck.deck import _star_masks, normalize, validate
 from spotdeck.enumeration import canonical_form
 from spotdeck.maximality import (
+    _transversals,
     complete,
     find_extension,
     is_maximal,
@@ -63,6 +65,57 @@ class TestPropCondition:
                 for subset in combinations(range(deck.length), deck.order)
             )
             assert prop_condition_holds(deck) == (not exists)
+
+
+def transversal_decks(request):
+    """The fixtures, two-symmetric(4), grid(4,3) and grid(4,3) minus each card.
+
+    Also a partial state of the order-2 census, three cards through one
+    symbol, where three symbols (more than n) partition the cards.
+    """
+    decks = [request.getfixturevalue(name) for name in ("fano", "fano_minus_one", "three_block", "two_sym_3")]
+    grid = build_grid_blocks(4, 3)
+    decks += [build_two_symmetric(4), grid, normalize([["a", "b"], ["a", "c"], ["a", "d"]])]
+    decks += [remove_cards(grid, [i]) for i in range(grid.card_count)]
+    return decks
+
+
+def run_transversals(deck, stop_at=None):
+    """The sets ``_transversals`` visits, in order, and its return value.
+
+    ``visit`` returns true on the call with index ``stop_at``.
+    """
+    visited = []
+
+    def visit(chosen):
+        visited.append(tuple(chosen))
+        return len(visited) - 1 == stop_at
+
+    cards = [card.symbols for card in deck.cards]
+    stopped = _transversals(cards, _star_masks(deck), deck.aligned, deck.order, visit)
+    return visited, stopped
+
+
+class TestTransversals:
+    def test_visits_every_exact_hitting_set_once(self, request):
+        full_size = set()
+        for deck in transversal_decks(request):
+            visited, stopped = run_transversals(deck)
+            assert not stopped
+            expected = exact_hitting_sets([card.symbols for card in deck.cards], deck.length, deck.order)
+            assert len(visited) == len(set(map(frozenset, visited)))
+            assert set(map(frozenset, visited)) == set(expected)
+            full_size |= {len(chosen) == deck.order for chosen in visited}
+        # the decks exercise both sets of n symbols and shorter ones
+        assert full_size == {False, True}
+
+    def test_stops_at_the_first_true(self, request):
+        for deck in transversal_decks(request):
+            everything, _ = run_transversals(deck)
+            for stop_at in range(len(everything)):
+                visited, stopped = run_transversals(deck, stop_at)
+                assert stopped
+                assert visited == everything[: stop_at + 1]
 
 
 class TestFindExtension:
