@@ -6,9 +6,11 @@ card list, found by a branch-and-bound over the labelings that prunes with
 the deck's automorphisms: every pair of labelings reaching the same form
 yields one, and children of a search node that such automorphisms map onto
 each other are searched once.  The generator emits each isomorphism class
-exactly once by only growing normal-form structures (cards strictly
-increasing, new symbols numbered on first use) and keeping the completed
-ones that equal their own canonical form.
+exactly once by orderly generation (Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978): it grows only normal-form structures (cards
+strictly increasing, new symbols numbered on first use), stops below every
+partial structure that is not its own canonical form, and keeps the
+completed ones.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .analysis import classify, fundamental_number, multiplicities
 from .deck import Deck, deck_from_cards
@@ -56,6 +59,8 @@ class _FoundSmaller(Exception):
 
 def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
     """The smallest superset of the symbol bitmask that every permutation maps into itself."""
+    if not perms:
+        return mask
     frontier = mask
     while frontier:
         images = 0
@@ -68,6 +73,12 @@ def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
         frontier = images & ~mask
         mask |= frontier
     return mask
+
+
+@lru_cache(maxsize=64)
+def _fillers(n: int, length: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``[k][need]`` completes a card missing ``need`` symbols with k, k+1, ..."""
+    return tuple(tuple(tuple(range(k, k + need)) for need in range(n + 1)) for k in range(length + 1))
 
 
 def _minimal_form(
@@ -93,7 +104,11 @@ def _minimal_form(
     leaf searched earlier, the new automorphism also maps the rest of the
     current branch, from where the two labelings part, onto a branch already
     searched, so the search jumps back to that node.  The minimum is
-    unchanged.
+    unchanged.  Two kinds of automorphism are known before any leaf and
+    seed the generators: swapping two symbols on the same cards, and
+    swapping the private symbols (on one card only) of two cards whose
+    other symbols agree.  Valid decks have neither; the partial decks of the
+    census are full of both.
 
     With ``stop_below_seed`` the incumbent starts as the deck's own card
     list under the identity labeling, and the search raises
@@ -114,24 +129,41 @@ def _minimal_form(
         best_path = list(range(length))
     # automorphisms found so far, each with the bitmask of the symbols it moves
     generators: list[tuple[tuple[int, ...], int]] = []
+
+    def known_swap(pairs) -> None:
+        perm = list(range(length))
+        moved = 0
+        for a, b in pairs:
+            perm[a], perm[b] = b, a
+            moved |= 1 << a | 1 << b
+        generators.append((tuple(perm), moved))
+
+    # Seeded as swaps of neighbours, so that whatever prefix of them a node
+    # fixes, the swaps among the rest stay in its stabilizer.
+    twins: dict[tuple[int, ...], int] = {}
+    for s in range(length):
+        key = tuple(member_cards[s])
+        if key in twins:
+            known_swap([(twins[key], s)])
+        twins[key] = s
+    shapes: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for card in cards:
+        private = [s for s in card if len(member_cards[s]) == 1]
+        if private:
+            key = (tuple(s for s in card if len(member_cards[s]) > 1), len(private))
+            if key in shapes:
+                known_swap(zip(shapes[key], private))
+            shapes[key] = private
     path: list[int] = []
 
-    # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
-    filler = [
-        [tuple(range(k, k + need)) for need in range(n + 1)] for k in range(length + 1)
-    ]
-
-    def padded(partials: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
-        fills = filler[k]
-        out = [part + fills[n - len(part)] for part in partials]
-        out.sort()
-        return out
+    filler = _fillers(n, length)
 
     def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
         """Search below the node at depth ``k``; return the depth to resume at."""
         nonlocal best, best_path
         if k == length:
-            form = padded(partials, k)
+            fills = filler[k]
+            form = sorted(part + fills[n - len(part)] for part in partials)
             if best is None or form < best:
                 best = form
                 best_path = list(path)
@@ -150,17 +182,24 @@ def _minimal_form(
                         parting += 1
                     return parting
             return k
+        # a child's bound: the cards through its symbol take k, then every
+        # card is padded from k + 1
+        fills = filler[k + 1]
+        later = [part + fills[n - len(part)] for part in partials]
+        here = [part + (k,) + fills[n - len(part) - 1] for part in partials]
         ranked = []
         for s in free:
-            child = list(partials)
+            bound = list(later)
             for index in member_cards[s]:
-                child[index] = child[index] + (k,)
-            ranked.append((padded(child, k + 1), s, child))
-        ranked.sort(key=lambda item: item[:2])
+                bound[index] = here[index]
+            bound.sort()
+            if best is None or bound <= best:  # the best only falls: a child above it stays dead
+                ranked.append((bound, s))
+        ranked.sort()
         stabilizer: list[tuple[int, ...]] = []
         known = 0  # generators already sorted into `stabilizer` or out of it
         done = 0  # orbit closure of the children searched so far
-        for child_bound, s, child in ranked:
+        for child_bound, s in ranked:
             if best is not None and child_bound > best:
                 break  # ranked ascending, the rest cannot reach the best either
             if known < len(generators):
@@ -170,6 +209,9 @@ def _minimal_form(
             if done >> s & 1:
                 continue  # an image of a child already searched
             done = _orbit_closure(done | 1 << s, stabilizer)
+            child = list(partials)
+            for index in member_cards[s]:
+                child[index] = child[index] + (k,)
             path.append(s)
             target = search(k + 1, child, [t for t in free if t != s], fixed | 1 << s)
             path.pop()
@@ -216,23 +258,6 @@ class _Budget:
         return True
 
 
-def _improvable_by_transposition(cards: list[tuple[int, ...]], length: int) -> bool:
-    """True when swapping some symbol pair already gives a smaller form.
-
-    Cheap necessary filter run before the full canonical search: a state it
-    rejects is certainly not its own canonical form.
-    """
-    for i in range(length):
-        for j in range(i + 1, length):
-            swapped = sorted(
-                tuple(sorted(i if s == j else j if s == i else s for s in card))
-                for card in cards
-            )
-            if swapped < cards:
-                return True
-    return False
-
-
 def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) -> EnumerationResult:
     """All decks of the given order with at most ``max_cards`` cards, one per class.
 
@@ -243,11 +268,23 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     structure is partial.  A next card meets every card once, so it is a set
     of existing symbols whose stars partition the cards, padded with fresh
     ids; ``maximality._transversals``, the search that also finds extension
-    cards, lists those sets.  A completed structure is emitted when it is
-    fully valid and equal to its own canonical form.
+    cards, lists those sets.
 
-    The node budget counts visited search states; an exhausted budget stops
-    the walk deterministically and flags the result incomplete.
+    Every structure of two or more cards is checked against its own
+    canonical form, the lex-min relabeling of its sorted card list.  One that
+    fails is not grown further; one that passes is emitted when every symbol
+    sits on two cards or more.  The pruning loses no class, because every
+    prefix of a lex-min card list is lex-min.  Let L be a sorted card list
+    with last card c and P the list without c, and suppose a relabeling pi
+    of P's symbols gives sorted(pi(P)) < P.  Extend pi by the identity on the
+    symbols only c uses; inserting the distinct card pi(c) into
+    sorted(pi(P)) gives sorted(pi(L)) < L.  A class's canonical form is in
+    normal form, so the walk reaches it through its canonical prefixes.
+
+    ``nodes`` counts the visited states: the root, every canonical state and
+    every non-canonical child at which the walk stopped.  The node budget
+    caps that count; an exhausted budget stops the walk deterministically
+    and flags the result incomplete.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -310,13 +347,11 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         if not budget.spend():
             overflow = True
             return
-        if (
-            len(state_cards) >= 2
-            and all(m & (m - 1) for m in stars)  # every symbol on two cards or more
-            and not _improvable_by_transposition(state_cards, len(stars))
-            and _is_self_canonical(order, len(stars), state_cards)
-        ):
-            found.append(CanonicalForm(cards=tuple(state_cards)))
+        if len(state_cards) >= 2:
+            if not _is_self_canonical(order, len(stars), state_cards):
+                return  # no extension of a non-canonical state is canonical
+            if all(m & (m - 1) for m in stars):  # every symbol on two cards or more
+                found.append(CanonicalForm(cards=tuple(state_cards)))
         if len(state_cards) >= max_cards:
             return
         for card in candidates():

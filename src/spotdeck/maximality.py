@@ -134,14 +134,37 @@ def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
     return normalize(rows)
 
 
+def _require_cheap_axioms(deck: Deck) -> None:
+    """Raise ``InvalidDeckError`` unless D3, D4 and D2 hold, in one pass over the card masks.
+
+    The maximality tests are proved for valid decks only.  D1 is left to
+    their cross-checks: a full ``validate`` here would check it a second
+    time for callers such as ``analyze`` that have validated the deck.
+    """
+    n = deck.order
+    once = twice = 0  # bitmasks of the symbols seen on one card, and on two or more
+    for card in deck.cards:
+        if len(card.symbols) != n:
+            break
+        twice |= once & card.mask
+        once |= card.mask
+    else:
+        if n >= 2 and twice == once:  # every symbol of the deck is on some card
+            return
+    raise cross_check_failure(deck, "a deck that breaks D2, D3 or D4 passed validation")
+
+
 def is_maximal(deck: Deck) -> MaximalityVerdict:
     """Run all three maximality tests and assert the implication chain.
 
     sufficient condition => subset-sum condition => no extension exists; any
     break in the chain, or an extension that fails re-validation, raises
     ``InvariantViolation``, or ``InvalidDeckError`` when the input deck
-    breaks an axiom.
+    breaks an axiom.  A deck with a wrong card size or a symbol on one card
+    is rejected before any search; one that breaks only D1 is rejected when
+    a cross-check fails, and may otherwise get a verdict.
     """
+    _require_cheap_axioms(deck)
     sufficient = sufficient_maximal(deck)
     prop_holds = prop_condition_holds(deck)
     extension = find_extension(deck)
@@ -176,9 +199,11 @@ def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
 
     Every intermediate deck is re-validated; a budget stop returns the
     partial deck flagged non-maximal when an extension is still pending.
-    An invalid input deck raises ``InvalidDeckError`` once an intermediate
-    deck fails validation.
+    An input deck that breaks D2, D3 or D4 raises ``InvalidDeckError`` before
+    any search, and one that breaks D1 once an intermediate deck fails
+    validation.
     """
+    _require_cheap_axioms(deck)
     current = deck
     added: list[ExtensionCandidate] = []
     while max_steps is None or len(added) < max_steps:

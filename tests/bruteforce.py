@@ -10,9 +10,10 @@ check that ``validate`` must reproduce violation for violation.
 ``bnb_minimal_form`` and ``bnb_is_self_canonical`` are the lex-min
 branch-and-bound without automorphism pruning, which the package's pruned
 search must reproduce form for form and verdict for verdict.
-``normal_states`` counts the census search's nodes, and
-``exact_hitting_sets`` lists by ``combinations`` the symbol sets that the
-package's star-partition search must visit.
+``normal_states`` lists every normal-form state, ``orderly_states`` the
+ones the census search visits once it stops below non-canonical states,
+and ``exact_hitting_sets`` lists by ``combinations`` the symbol sets that
+the package's star-partition search must visit.
 """
 
 from __future__ import annotations
@@ -96,14 +97,33 @@ def normal_states(order: int, max_cards: int):
     Normal form: cards strictly increasing as sorted tuples, new symbols
     numbered consecutively on first use, every card meeting each earlier card
     in exactly one symbol.  The states start from the card 0..order-1 and stop
-    growing at ``max_cards`` cards, as in ``enumerate_decks``, so their count
-    is that search's node count.
+    growing at ``max_cards`` cards.
     """
+    yield from _normal_walk(order, max_cards, lambda cards, used: True)
+
+
+def orderly_states(order: int, max_cards: int):
+    """Yield the normal-form states the census search visits, in its order.
+
+    The walk of ``normal_states``, stopped below every state of two or more
+    cards that ``bnb_is_self_canonical`` rejects.  Rejected states are still
+    yielded, since the search visits them before it stops, so the count is
+    ``enumerate_decks``'s node count.
+    """
+
+    def canonical(cards, used):
+        return len(cards) < 2 or bnb_is_self_canonical(order, used, cards)
+
+    yield from _normal_walk(order, max_cards, canonical)
+
+
+def _normal_walk(order: int, max_cards: int, grows):
+    """Depth-first walk over normal-form states, descending below those ``grows`` accepts."""
     first = tuple(range(order))
 
     def rec(cards: list[tuple[int, ...]], used: int):
         yield cards
-        if len(cards) == max_cards:
+        if len(cards) == max_cards or not grows(cards, used):
             return
         last = cards[-1]
         sets = [set(card) for card in cards]

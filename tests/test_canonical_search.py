@@ -5,8 +5,8 @@ its incumbent and uses no automorphism, so it is the exact lex-min oracle for
 decks too large for ``brute_min_form``.  The pruned search must return the
 same form on every class of orders 2 to 4, under relabelings, and on the
 symmetric constructions where the pruning cuts most; and the seeded
-canonicity check must give the same verdict on every state the order-4
-enumeration asks about.
+canonicity check must give the same verdict on the order-4 states where a
+wrong verdict could lose or invent a class.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import spotdeck.enumeration as enumeration
-from bruteforce import bnb_is_self_canonical, bnb_minimal_form
+from bruteforce import bnb_is_self_canonical, bnb_minimal_form, orderly_states
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, remove_cards
 from spotdeck.deck import normalize
 from spotdeck.enumeration import canonical_form, enumerate_decks
@@ -76,6 +76,20 @@ def test_order_four_classes_match_oracle(order_four_run):
             assert_pruned_search_agrees(permuted(deck, 100 * index + seed), expected)
 
 
+def test_partial_states_match_oracle():
+    # partial decks have symbols on one card only, whose swaps the search
+    # knows up front; valid decks have none, so only these states test them.
+    # The 7-card star with 15 symbols takes the oracle seconds and is left out.
+    states = [cards for cards in orderly_states(3, 7) if 2 <= len(cards) and cards[-1][-1] < 13]
+    states.append([(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (7, 8, 9), (7, 10, 11)])
+    for cards in states:
+        deck = normalize(cards)
+        expected = oracle_form(deck)
+        assert_pruned_search_agrees(deck, expected)
+        for seed in range(RELABELINGS):
+            assert_pruned_search_agrees(permuted(deck, seed), expected)
+
+
 @pytest.mark.parametrize(
     "deck",
     [
@@ -95,9 +109,28 @@ def test_symmetric_constructions_match_oracle(deck):
 
 
 def test_order_four_canonicity_verdicts_match_oracle(order_four_run):
+    """Every verdict that stopped the walk or emitted a class is the oracle's.
+
+    The walk asks about every state of two or more cards.  A wrong rejection
+    would prune a class away, so all of them are checked.  Accepts on
+    complete decks are checked too: together they must be exactly the
+    emitted forms.  Accepts on partial states, some of which have 16 to 40
+    symbols and take the unpruned search minutes each, are not sent to the
+    oracle: a wrong one could only add nodes, and
+    ``test_order_four_classes_match_oracle`` checks the emitted forms.
+    """
     result, queries = order_four_run
-    # every emitted class was accepted once, and the other queries rejected
-    assert sum(verdict for *_, verdict in queries) == len(result.forms)
-    assert len(queries) > len(result.forms)
+    assert len(queries) == result.nodes - 1  # every state but the one-card root
+    complete = []
+    rejected = 0
     for n, length, cards, verdict in queries:
+        on_two_cards = all(sum(s in card for card in cards) >= 2 for s in range(length))
+        if verdict and not on_two_cards:
+            continue
         assert bnb_is_self_canonical(n, length, cards) == verdict, cards
+        if verdict:
+            complete.append(tuple(cards))
+        else:
+            rejected += 1
+    assert sorted(complete) == sorted(form.cards for form in result.forms)
+    assert rejected > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes, normal_states
+from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes, orderly_states
 from sample_decks import TWO_SYM_3_ROWS
 from spotdeck.analysis import check_identities, fundamental_number
 from spotdeck.constructions import build_grid_blocks, build_two_symmetric, remove_cards
@@ -120,10 +120,11 @@ class TestEnumerate:
                 assert len(matches) == 1
 
     def test_node_count_matches_oracle_states(self):
-        # every normal-form state the raw generator visits is one search node
-        for order, c_max, nodes in ((2, 3, 6), (3, 7, 73), (4, 5, 974)):
+        # one search node per normal-form state the oracle's orderly walk
+        # visits, which stops below states the unpruned search finds non-canonical
+        for order, c_max, nodes in ((2, 3, 5), (3, 7, 30), (4, 5, 162)):
             assert enumerate_decks(order, c_max).nodes == nodes
-            assert sum(1 for _ in normal_states(order, c_max)) == nodes
+            assert sum(1 for _ in orderly_states(order, c_max)) == nodes
 
     def test_budget_truncation(self):
         result = enumerate_decks(3, 7, node_budget=3)
@@ -198,13 +199,23 @@ class TestLengthProbe:
         assert not report.exhausted
         assert report.witness is None
 
+    def test_order_4_exhaustive_no_witness(self):
+        # the paper's order-4 answer: no deck is longer than its fundamental number 13
+        report = probe_length_conjecture(4)
+        assert report.verdict == "exhausted"
+        assert report.witness is None
+        assert report.max_length == 13 == report.fundamental
+        assert report.classes_seen == 9
+
 
 class TestOrderFour:
     """Exhaustive order-4 run, frozen from the generator's own complete search.
 
     The unpruned oracle's bijection grouping is infeasible at 13 symbols, so
-    unlike orders 2 and 3 these counts are regression-frozen, not
-    oracle-frozen; every emitted deck is still independently re-validated.
+    unlike orders 2 and 3 the class table is regression-frozen, not
+    oracle-frozen; every emitted deck is still independently re-validated,
+    and ``test_canonical_search.py`` checks every emitted form and every
+    rejecting canonicity verdict against the unpruned lex-min search.
     """
 
     def test_full_run(self):
@@ -212,8 +223,9 @@ class TestOrderFour:
 
         result = enumerate_decks(4, 13, node_budget=100_000)
         assert result.complete
-        # the raw generator in tests/bruteforce.py visits as many states (about 90 s)
-        assert result.nodes == 46886
+        # 9 classes from 291 visited states; without the orderly pruning the
+        # walk visits all 46,886 normal-form states
+        assert result.nodes == 291
         table = []
         triples = set()
         for form in result.forms:

@@ -40,7 +40,7 @@ def test_cards_through_one_symbol(check):
         check(normalize(SHARED_HUB))
 
 
-@pytest.mark.parametrize("check", [classify, check_identities])
+@pytest.mark.parametrize("check", [classify, check_identities, is_maximal, complete])
 def test_one_symbol_cards(check):
     # the order is below 2, so the deck breaks D3 and has no fundamental number
     with pytest.raises(InvalidDeckError, match="card 0 has only 1 symbol"):
@@ -76,7 +76,8 @@ def test_fuzzed_decks_never_raise_invariant_violation():
             for _ in range(rng.randint(1, 8))
         ]
         deck = normalize(rows)
-        valid = validate(deck).valid
+        broken = {violation.axiom for violation in validate(deck).violations}
+        valid = not broken
         n, c = deck.order, deck.card_count
         checks = {
             "classify": lambda: classify(deck),
@@ -95,5 +96,9 @@ def test_fuzzed_decks_never_raise_invariant_violation():
                 outcomes[name] += 1
             except (DeckError, ValueError):
                 pass  # documented rejections of the arguments, such as order < 2
+            else:
+                if name in ("is_maximal", "complete"):
+                    # the cheap checks before the search leave only D1 to the cross-checks
+                    assert broken <= {"D1"}, (name, rows, broken)
     # the fuzz reaches the failure path of every entry point
     assert set(outcomes) == {"classify", "is_maximal", "complete", "kn2", "triple"}
