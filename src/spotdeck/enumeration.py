@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .analysis import classify, fundamental_number, multiplicities
 from .deck import Deck, deck_from_cards
@@ -57,10 +56,26 @@ class _FoundSmaller(Exception):
     """Raised to abort a seeded canonicity check once any smaller form appears."""
 
 
+class _OutOfBudget(Exception):
+    """Raised inside a canonicity proof when the enumeration's node budget runs out."""
+
+
+class _Budget:
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self) -> bool:
+        if self.limit is not None and self.used >= self.limit:
+            return False
+        self.used += 1
+        return True
+
+
 def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
     """The smallest superset of the symbol bitmask that every permutation maps into itself."""
-    if not perms:
-        return mask
     frontier = mask
     while frontier:
         images = 0
@@ -75,10 +90,43 @@ def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
     return mask
 
 
-@lru_cache(maxsize=64)
-def _fillers(n: int, length: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``[k][need]`` completes a card missing ``need`` symbols with k, k+1, ..."""
-    return tuple(tuple(tuple(range(k, k + need)) for need in range(n + 1)) for k in range(length + 1))
+def _known_automorphisms(
+    length: int, cards: list[tuple[int, ...]], member_cards: list[list[int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Symbol swaps that map the card list onto itself, read off the stars.
+
+    Two symbols on the same cards can be swapped.  So can the private
+    symbols (on one card only) of two cards whose other symbols agree,
+    paired in order: the two cards trade places.  Each swap comes with the
+    bitmask of the symbols it moves.  Swaps pair neighbours, so that
+    whatever prefix of them a search node fixes, the swaps among the rest
+    stay in its stabilizer.
+    """
+    found: list[tuple[tuple[int, ...], int]] = []
+
+    def swap(pairs) -> None:
+        perm = list(range(length))
+        moved = 0
+        for a, b in pairs:
+            perm[a], perm[b] = b, a
+            moved |= 1 << a | 1 << b
+        found.append((tuple(perm), moved))
+
+    twins: dict[tuple[int, ...], int] = {}
+    for s in range(length):
+        key = tuple(member_cards[s])
+        if key in twins:
+            swap([(twins[key], s)])
+        twins[key] = s
+    shapes: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for card in cards:
+        private = [s for s in card if len(member_cards[s]) == 1]
+        if private:
+            key = (tuple(s for s in card if len(member_cards[s]) > 1), len(private))
+            if key in shapes:
+                swap(zip(shapes[key], private))
+            shapes[key] = private
+    return found
 
 
 def _minimal_form(
@@ -86,6 +134,7 @@ def _minimal_form(
     length: int,
     cards: list[tuple[int, ...]],
     stop_below_seed: bool = False,
+    budget: _Budget | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Branch-and-bound over which old symbol receives each successive new id.
 
@@ -104,11 +153,9 @@ def _minimal_form(
     leaf searched earlier, the new automorphism also maps the rest of the
     current branch, from where the two labelings part, onto a branch already
     searched, so the search jumps back to that node.  The minimum is
-    unchanged.  Two kinds of automorphism are known before any leaf and
-    seed the generators: swapping two symbols on the same cards, and
-    swapping the private symbols (on one card only) of two cards whose
-    other symbols agree.  Valid decks have neither; the partial decks of the
-    census are full of both.
+    unchanged.  The swaps of ``_known_automorphisms`` are known before any
+    leaf and seed the generators.  Valid decks have none; the partial decks
+    of the census are full of them.
 
     With ``stop_below_seed`` the incumbent starts as the deck's own card
     list under the identity labeling, and the search raises
@@ -116,6 +163,9 @@ def _minimal_form(
     up, which makes "is this deck its own canonical form" much cheaper than
     full canonicalization.  The seed is never searched as a leaf, so this
     mode does not jump back.
+
+    Each search node spends one unit of ``budget``, if given; when it runs
+    out the search raises ``_OutOfBudget``.
     """
     member_cards: list[list[int]] = [[] for _ in range(length)]
     for index, card in enumerate(cards):
@@ -128,39 +178,19 @@ def _minimal_form(
         best = sorted(tuple(sorted(card)) for card in cards)
         best_path = list(range(length))
     # automorphisms found so far, each with the bitmask of the symbols it moves
-    generators: list[tuple[tuple[int, ...], int]] = []
-
-    def known_swap(pairs) -> None:
-        perm = list(range(length))
-        moved = 0
-        for a, b in pairs:
-            perm[a], perm[b] = b, a
-            moved |= 1 << a | 1 << b
-        generators.append((tuple(perm), moved))
-
-    # Seeded as swaps of neighbours, so that whatever prefix of them a node
-    # fixes, the swaps among the rest stay in its stabilizer.
-    twins: dict[tuple[int, ...], int] = {}
-    for s in range(length):
-        key = tuple(member_cards[s])
-        if key in twins:
-            known_swap([(twins[key], s)])
-        twins[key] = s
-    shapes: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for card in cards:
-        private = [s for s in card if len(member_cards[s]) == 1]
-        if private:
-            key = (tuple(s for s in card if len(member_cards[s]) > 1), len(private))
-            if key in shapes:
-                known_swap(zip(shapes[key], private))
-            shapes[key] = private
+    generators = _known_automorphisms(length, cards, member_cards)
     path: list[int] = []
 
-    filler = _fillers(n, length)
+    # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
+    filler = [
+        [tuple(range(k, k + need)) for need in range(n + 1)] for k in range(length + 1)
+    ]
 
     def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
         """Search below the node at depth ``k``; return the depth to resume at."""
         nonlocal best, best_path
+        if budget is not None and not budget.spend():
+            raise _OutOfBudget
         if k == length:
             fills = filler[k]
             form = sorted(part + fills[n - len(part)] for part in partials)
@@ -186,15 +216,14 @@ def _minimal_form(
         # card is padded from k + 1
         fills = filler[k + 1]
         later = [part + fills[n - len(part)] for part in partials]
-        here = [part + (k,) + fills[n - len(part) - 1] for part in partials]
         ranked = []
         for s in free:
             bound = list(later)
             for index in member_cards[s]:
-                bound[index] = here[index]
+                part = partials[index]
+                bound[index] = part + (k,) + fills[n - len(part) - 1]
             bound.sort()
-            if best is None or bound <= best:  # the best only falls: a child above it stays dead
-                ranked.append((bound, s))
+            ranked.append((bound, s))
         ranked.sort()
         stabilizer: list[tuple[int, ...]] = []
         known = 0  # generators already sorted into `stabilizer` or out of it
@@ -224,14 +253,17 @@ def _minimal_form(
     return tuple(best)
 
 
-def _is_self_canonical(n: int, length: int, cards: list[tuple[int, ...]]) -> bool:
+def _is_self_canonical(
+    n: int, length: int, cards: list[tuple[int, ...]], budget: _Budget | None = None
+) -> bool:
     """True when the card list equals its own canonical form.
 
     Seeds the incumbent with the list itself: every branch above it dies
-    immediately, and the first smaller form aborts the search.
+    immediately, and the first smaller form aborts the search.  Raises
+    ``_OutOfBudget`` when ``budget`` runs out first.
     """
     try:
-        _minimal_form(n, length, cards, stop_below_seed=True)
+        _minimal_form(n, length, cards, stop_below_seed=True, budget=budget)
     except _FoundSmaller:
         return False
     return True
@@ -242,20 +274,6 @@ class EnumerationResult:
     forms: tuple[CanonicalForm, ...]
     complete: bool
     nodes: int
-
-
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        if self.limit is not None and self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
 
 
 def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) -> EnumerationResult:
@@ -281,10 +299,12 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     sorted(pi(P)) gives sorted(pi(L)) < L.  A class's canonical form is in
     normal form, so the walk reaches it through its canonical prefixes.
 
-    ``nodes`` counts the visited states: the root, every canonical state and
-    every non-canonical child at which the walk stopped.  The node budget
-    caps that count; an exhausted budget stops the walk deterministically
-    and flags the result incomplete.
+    ``nodes`` counts one node per visited state (the root, every canonical
+    state and every non-canonical child at which the walk stopped) plus the
+    search nodes of every canonicity proof.  The node budget caps that
+    count, so it bounds the run time even where a single proof is long; an
+    exhausted budget stops the walk deterministically, in the middle of a
+    proof if need be, and flags the result incomplete.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -348,7 +368,12 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
             overflow = True
             return
         if len(state_cards) >= 2:
-            if not _is_self_canonical(order, len(stars), state_cards):
+            try:
+                canonical = _is_self_canonical(order, len(stars), state_cards, budget)
+            except _OutOfBudget:
+                overflow = True
+                return
+            if not canonical:
                 return  # no extension of a non-canonical state is canonical
             if all(m & (m - 1) for m in stars):  # every symbol on two cards or more
                 found.append(CanonicalForm(cards=tuple(state_cards)))

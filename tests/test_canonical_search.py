@@ -14,13 +14,15 @@ from __future__ import annotations
 import pytest
 
 import spotdeck.enumeration as enumeration
-from bruteforce import bnb_is_self_canonical, bnb_minimal_form, orderly_states
+from bruteforce import bnb_is_self_canonical, bnb_minimal_form, normal_states, orderly_states
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, remove_cards
 from spotdeck.deck import normalize
 from spotdeck.enumeration import canonical_form, enumerate_decks
 from test_enumeration import permuted
 
 RELABELINGS = 5
+# private symbols on cards through two different hubs, 0 and 7
+HUB_DECK = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (7, 8, 9), (7, 10, 11)]
 
 
 def oracle_form(deck):
@@ -40,8 +42,8 @@ def order_four_run():
     queries = []
     pruned = enumeration._is_self_canonical
 
-    def recording(n, length, cards):
-        verdict = pruned(n, length, cards)
+    def recording(n, length, cards, budget=None):
+        verdict = pruned(n, length, cards, budget)
         queries.append((n, length, list(cards), verdict))
         return verdict
 
@@ -81,7 +83,7 @@ def test_partial_states_match_oracle():
     # knows up front; valid decks have none, so only these states test them.
     # The 7-card star with 15 symbols takes the oracle seconds and is left out.
     states = [cards for cards in orderly_states(3, 7) if 2 <= len(cards) and cards[-1][-1] < 13]
-    states.append([(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (7, 8, 9), (7, 10, 11)])
+    states.append(HUB_DECK)
     for cards in states:
         deck = normalize(cards)
         expected = oracle_form(deck)
@@ -120,7 +122,7 @@ def test_order_four_canonicity_verdicts_match_oracle(order_four_run):
     ``test_order_four_classes_match_oracle`` checks the emitted forms.
     """
     result, queries = order_four_run
-    assert len(queries) == result.nodes - 1  # every state but the one-card root
+    assert len(queries) + 1 == 291  # every visited state but the one-card root
     complete = []
     rejected = 0
     for n, length, cards, verdict in queries:
@@ -134,3 +136,30 @@ def test_order_four_canonicity_verdicts_match_oracle(order_four_run):
             rejected += 1
     assert sorted(complete) == sorted(form.cards for form in result.forms)
     assert rejected > 0
+
+
+def test_known_automorphisms_fix_the_card_list():
+    """Every swap that seeds the search maps the card list onto itself.
+
+    A seeded swap that is not an automorphism makes the search skip children
+    it takes for images of searched ones, which can prune away the minimum.
+    The raw generator's states, canonical or not, are full of symbols on the
+    same cards and of private symbols; the hub deck has cards with as many
+    private symbols but different shared ones, which must not be swapped.
+    """
+    decks = [list(cards) for cards in normal_states(3, 7)]
+    decks += [list(cards) for cards in normal_states(4, 5)]
+    decks.append(HUB_DECK)
+    swaps = 0
+    for cards in decks:
+        length = 1 + max(max(card) for card in cards)
+        member_cards = [[] for _ in range(length)]
+        for index, card in enumerate(cards):
+            for s in card:
+                member_cards[s].append(index)
+        for perm, moved in enumeration._known_automorphisms(length, cards, member_cards):
+            assert moved == sum(1 << s for s in range(length) if perm[s] != s)
+            image = sorted(tuple(sorted(perm[s] for s in card)) for card in cards)
+            assert image == sorted(cards), (cards, perm)
+            swaps += 1
+    assert swaps > 0

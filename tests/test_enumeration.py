@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import spotdeck.enumeration as enumeration
 from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes, orderly_states
 from sample_decks import TWO_SYM_3_ROWS
 from spotdeck.analysis import check_identities, fundamental_number
@@ -119,17 +120,37 @@ class TestEnumerate:
                 ]
                 assert len(matches) == 1
 
-    def test_node_count_matches_oracle_states(self):
-        # one search node per normal-form state the oracle's orderly walk
-        # visits, which stops below states the unpruned search finds non-canonical
-        for order, c_max, nodes in ((2, 3, 5), (3, 7, 30), (4, 5, 162)):
+    def test_node_count_matches_oracle_states(self, monkeypatch):
+        # the walk visits the normal-form states of the oracle's orderly walk,
+        # which stops below states the unpruned search finds non-canonical;
+        # every state but the one-card root asks one canonicity question, and
+        # `nodes` counts the states plus the search nodes of those proofs
+        checked = enumeration._is_self_canonical
+        for order, c_max, states, nodes in ((2, 3, 5, 29), (3, 7, 30, 497), (4, 5, 162, 3135)):
+            questions = []
+
+            def counting(*args):
+                questions.append(args)
+                return checked(*args)
+
+            monkeypatch.setattr(enumeration, "_is_self_canonical", counting)
             assert enumerate_decks(order, c_max).nodes == nodes
-            assert sum(1 for _ in orderly_states(order, c_max)) == nodes
+            assert 1 + len(questions) == states
+            assert sum(1 for _ in orderly_states(order, c_max)) == states
 
     def test_budget_truncation(self):
         result = enumerate_decks(3, 7, node_budget=3)
         assert not result.complete
         assert result.nodes == 3
+
+    def test_budget_bounds_canonicity_proofs(self):
+        # a single canonicity proof on an order-5 partial deck can run for
+        # minutes; its search nodes spend the same budget, so a small budget
+        # stops the walk at once
+        result = enumerate_decks(5, 21, node_budget=1000)
+        assert not result.complete
+        assert result.nodes == 1000
+        assert result.forms == ()
 
     def test_deterministic(self):
         a = enumerate_decks(3, 7)
@@ -223,9 +244,10 @@ class TestOrderFour:
 
         result = enumerate_decks(4, 13, node_budget=100_000)
         assert result.complete
-        # 9 classes from 291 visited states; without the orderly pruning the
-        # walk visits all 46,886 normal-form states
-        assert result.nodes == 291
+        # 9 classes from 291 visited states and 46,368 search nodes of their
+        # canonicity proofs; without the orderly pruning the walk visits all
+        # 46,886 normal-form states
+        assert result.nodes == 46_659
         table = []
         triples = set()
         for form in result.forms:
