@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (valid deck, maximal verdict, search ran), 1 invalid
 deck or a negative verdict from ``maximal``/``extend``, 2 usage or parse
-errors.  Results go to stdout, diagnostics to stderr.  ``--json`` switches
+errors, 3 internal error (an ``InvariantViolation``, which means a bug in
+this package; one ``internal error: ...`` line on stderr, no traceback).
+Results go to stdout, diagnostics to stderr.  ``--json`` switches
 any command to a machine-readable payload with stable key order.
 """
 
@@ -20,7 +22,7 @@ from .analysis import (
     multiplicities,
 )
 from .constructions import build_grid_blocks, build_paired, build_two_symmetric
-from .deck import Deck, DeckError, validate
+from .deck import Deck, DeckError, InvariantViolation, validate
 from .enumeration import census, enumerate_decks, probe_length_conjecture
 from .formats import deck_payload, parse_deck_text, render_deck_text, to_json
 from .maximality import complete, is_maximal
@@ -28,6 +30,7 @@ from .maximality import complete, is_maximal
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -43,6 +46,8 @@ def _budget(value: int) -> int | None:
 
 
 def _print_violations(violations) -> None:
+    """The violation count on stdout, then one line per violation on stderr."""
+    print(f"invalid: {len(violations)} violation(s)")
     for violation in violations:
         print(f"{violation.axiom}: {violation.message}", file=sys.stderr)
 
@@ -53,7 +58,6 @@ def _load_valid(path: str) -> Deck | None:
     result = validate(deck)
     if result.valid:
         return deck
-    print(f"invalid: {len(result.violations)} violation(s)")
     _print_violations(result.violations)
     return None
 
@@ -73,7 +77,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if result.valid:
         print(f"valid: n={deck.order} c={deck.card_count} l={deck.length}")
         return EXIT_OK
-    print(f"invalid: {len(result.violations)} violation(s)")
     _print_violations(result.violations)
     return EXIT_FAIL
 
@@ -429,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DeckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ A deck is a finite list of equal-size symbol sets ("cards") in which any two
 cards share exactly one symbol and every symbol sits on at least two cards.
 Symbols are stored as dense integer ids; every card carries both a sorted
 tuple and a bitmask so that intersection counting is a couple of word ops.
-Validation works on symbol stars, the bitmasks of the cards carrying each
-symbol: the one-shared-symbol axiom holds for a card exactly when the stars of
-its symbols cover every other card once, so checking a deck of c cards and
-order n takes c*n mask operations rather than a pass over all c*(c-1)/2 card
+Every symbol's star, the bitmask of the cards carrying it, is built once by
+:func:`normalize` and kept on the deck as ``Deck.stars``: a symbol's
+multiplicity is the bit count of its star, and validation, the maximality
+tests and the star and partition queries all read the stars from there.  The
+one-shared-symbol axiom holds for a card exactly when the stars of its
+symbols cover every other card once, so checking a deck of c cards and order
+n takes c*n mask operations rather than a pass over all c*(c-1)/2 card
 pairs.
 """
 
@@ -63,9 +66,11 @@ class Deck:
     ``tokens`` maps each dense id back to its original symbol token and
     ``rows`` keeps the symbol order of the input, so rendering reproduces the
     source text exactly.  ``aligned[s]`` is the bitmask of symbols sharing at
-    least one card with ``s`` (``s`` itself included).  ``order`` is the size
-    of the first card; uniformity is an axiom checked by :func:`validate`,
-    not assumed here.
+    least one card with ``s`` (``s`` itself included), and ``stars[s]`` the
+    bitmask of the cards carrying ``s`` (bit ``i`` for card ``i``), whose bit
+    count is the multiplicity of ``s``.  ``order`` is the size of the first
+    card; uniformity is an axiom checked by :func:`validate`, not assumed
+    here.
     """
 
     cards: tuple[Card, ...]
@@ -74,6 +79,7 @@ class Deck:
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     aligned: tuple[int, ...]
+    stars: tuple[int, ...]
 
     @property
     def card_count(self) -> int:
@@ -88,7 +94,8 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
     """Map tokens to dense ids in first-occurrence order and build the deck.
 
     Tokens are compared by their string form.  Derived fields (order, length,
-    alignment) are populated but no axiom is checked; see :func:`validate`.
+    alignment, stars) are populated but no axiom is checked; see
+    :func:`validate`.
 
     Raises ``MalformedCardError`` when a card repeats a token and
     ``ValueError`` on an empty deck or an empty card.
@@ -123,9 +130,12 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
 
     length = len(tokens)
     aligned = [0] * length
-    for card in cards:
+    stars = [0] * length
+    for i, card in enumerate(cards):
+        bit = 1 << i
         for s in card.symbols:
             aligned[s] |= card.mask
+            stars[s] |= bit
 
     return Deck(
         cards=tuple(cards),
@@ -134,6 +144,7 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
         tokens=tuple(tokens),
         rows=tuple(rows),
         aligned=tuple(aligned),
+        stars=tuple(stars),
     )
 
 
@@ -144,11 +155,7 @@ def deck_from_cards(cards: Sequence[Sequence[int]]) -> Deck:
 
 def symbol_multiplicities(deck: Deck) -> list[int]:
     """How many cards each symbol sits on, indexed by dense id."""
-    counts = [0] * deck.length
-    for card in deck.cards:
-        for s in card.symbols:
-            counts[s] += 1
-    return counts
+    return [m.bit_count() for m in deck.stars]
 
 
 @dataclass(frozen=True)
@@ -166,15 +173,6 @@ class Violation:
 class ValidationResult:
     valid: bool
     violations: tuple[Violation, ...]
-
-
-def _star_masks(deck: Deck) -> list[int]:
-    """Bitmask of the cards carrying each symbol, indexed by dense id."""
-    masks = [0] * deck.length
-    for i, card in enumerate(deck.cards):
-        for s in card.symbols:
-            masks[s] |= 1 << i
-    return masks
 
 
 def validate(deck: Deck) -> ValidationResult:
@@ -211,7 +209,7 @@ def validate(deck: Deck) -> ValidationResult:
                     count=card.size,
                 )
             )
-    stars = _star_masks(deck)
+    stars = deck.stars
     full = (1 << deck.card_count) - 1
     for i, card in enumerate(deck.cards):
         once = twice = 0
@@ -275,7 +273,8 @@ class Star:
 def star(deck: Deck, symbol: int) -> Star:
     if not 0 <= symbol < deck.length:
         raise ValueError(f"symbol id {symbol} out of range for deck length {deck.length}")
-    members = tuple(i for i, card in enumerate(deck.cards) if symbol in card)
+    mask = deck.stars[symbol]
+    members = tuple(i for i in range(deck.card_count) if mask >> i & 1)
     return Star(center=symbol, card_indices=members)
 
 

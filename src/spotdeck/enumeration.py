@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import classify, fundamental_number, multiplicities
-from .deck import Deck, deck_from_cards
+from .deck import Deck, InvalidDeckError, deck_from_cards
 from .maximality import _transversals, is_maximal
 
 
@@ -47,7 +47,13 @@ class CanonicalForm:
 
 
 def canonical_form(deck: Deck) -> CanonicalForm:
-    """Minimize the sorted card list over all symbol relabelings."""
+    """Minimize the sorted card list over all symbol relabelings.
+
+    Raises ``InvalidDeckError`` when the cards differ in size (D4): the
+    search pads every card to the first card's size.
+    """
+    if any(card.size != deck.order for card in deck.cards):
+        raise InvalidDeckError("the deck breaks D4: its cards differ in size")
     form = _minimal_form(deck.order, deck.length, [card.symbols for card in deck.cards])
     return CanonicalForm(cards=form)
 
@@ -286,7 +292,9 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     structure is partial.  A next card meets every card once, so it is a set
     of existing symbols whose stars partition the cards, padded with fresh
     ids; ``maximality._transversals``, the search that also finds extension
-    cards, lists those sets.
+    cards, lists those sets.  Each child gets its own card list, stars and
+    alignment masks, built from its parent's and passed down the recursion,
+    so nothing is undone on the way back.
 
     Every structure of two or more cards is checked against its own
     canonical form, the lex-min relabeling of its sorted card list.  One that
@@ -314,79 +322,48 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     found: list[CanonicalForm] = []
     overflow = False
 
-    state_cards: list[tuple[int, ...]] = [tuple(range(order))]
-    # stars[s]: bitmask of the cards carrying s; aligned[s]: symbols sharing a card with s
-    aligned: list[int] = [(1 << order) - 1] * order
-    stars: list[int] = [1] * order
-
-    def candidates() -> list[tuple[int, ...]]:
-        """Next cards: a transversal of existing symbols plus fresh ids, above the last card."""
-        used = len(stars)
-        last = state_cards[-1]
-        outs: list[tuple[int, ...]] = []
-
-        def visit(chosen: list[int]) -> bool:
-            card = tuple(sorted(chosen)) + tuple(range(used, used + order - len(chosen)))
-            if card > last:
-                outs.append(card)
-            return False
-
-        _transversals(state_cards, stars, aligned, order, visit)
-        outs.sort()
-        return outs
-
-    def push(card: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-        fresh = sum(1 for s in card if s >= len(stars))
-        for _ in range(fresh):
-            aligned.append(0)
-            stars.append(0)
-        mask = 0
-        for s in card:
-            mask |= 1 << s
-        undo = []
-        bit = 1 << len(state_cards)
-        for s in card:
-            undo.append((s, aligned[s]))
-            aligned[s] |= mask
-            stars[s] |= bit
-        state_cards.append(card)
-        return undo, fresh
-
-    def pop(undo: list[tuple[int, int]], fresh: int) -> None:
-        state_cards.pop()
-        bit = 1 << len(state_cards)
-        for s, previous in undo:
-            aligned[s] = previous
-            stars[s] &= ~bit
-        for _ in range(fresh):
-            aligned.pop()
-            stars.pop()
-
-    def grow() -> None:
+    def grow(cards: list[tuple[int, ...]], stars: list[int], aligned: list[int]) -> None:
+        """Visit one state; ``stars`` and ``aligned`` are its symbols' card and symbol masks."""
         nonlocal overflow
         if not budget.spend():
             overflow = True
             return
-        if len(state_cards) >= 2:
+        if len(cards) >= 2:
             try:
-                canonical = _is_self_canonical(order, len(stars), state_cards, budget)
+                canonical = _is_self_canonical(order, len(stars), cards, budget)
             except _OutOfBudget:
                 overflow = True
                 return
             if not canonical:
                 return  # no extension of a non-canonical state is canonical
             if all(m & (m - 1) for m in stars):  # every symbol on two cards or more
-                found.append(CanonicalForm(cards=tuple(state_cards)))
-        if len(state_cards) >= max_cards:
+                found.append(CanonicalForm(cards=tuple(cards)))
+        if len(cards) >= max_cards:
             return
-        for card in candidates():
-            undo, fresh = push(card)
-            grow()
-            pop(undo, fresh)
+        # next cards: a transversal of existing symbols plus fresh ids, above the last card
+        used = len(stars)
+        nexts: list[tuple[int, ...]] = []
+
+        def visit(chosen: list[int]) -> bool:
+            card = tuple(sorted(chosen)) + tuple(range(used, used + order - len(chosen)))
+            if card > cards[-1]:
+                nexts.append(card)
+            return False
+
+        _transversals(cards, stars, aligned, order, visit)
+        bit = 1 << len(cards)
+        for card in sorted(nexts):
+            fresh = [0] * (card[-1] + 1 - used)  # empty when the card has no fresh id
+            child_stars, child_aligned = stars + fresh, aligned + fresh
+            mask = sum(1 << s for s in card)
+            for s in card:
+                child_stars[s] |= bit
+                child_aligned[s] |= mask
+            grow(cards + [card], child_stars, child_aligned)
             if overflow:
                 return
 
-    grow()
+    grow([tuple(range(order))], [1] * order, [(1 << order) - 1] * order)
     found.sort(key=lambda form: (len(form.cards), form.cards))
     return EnumerationResult(forms=tuple(found), complete=not overflow, nodes=budget.used)
 

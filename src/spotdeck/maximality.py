@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .analysis import multiplicities
-from .deck import Deck, _star_masks, cross_check_failure, normalize, validate
+from .deck import Deck, cross_check_failure, normalize, validate
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def find_extension(deck: Deck) -> ExtensionCandidate | None:
         return False
 
     cards = [card.symbols for card in deck.cards]
-    _transversals(cards, _star_masks(deck), deck.aligned, deck.order, visit)
+    _transversals(cards, deck.stars, deck.aligned, deck.order, visit)
     return ExtensionCandidate(symbols=found[0]) if found else None
 
 
@@ -135,22 +135,17 @@ def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
 
 
 def _require_cheap_axioms(deck: Deck) -> None:
-    """Raise ``InvalidDeckError`` unless D3, D4 and D2 hold, in one pass over the card masks.
+    """Raise ``InvalidDeckError`` unless D3, D4 and D2 hold.
 
-    The maximality tests are proved for valid decks only.  D1 is left to
-    their cross-checks: a full ``validate`` here would check it a second
-    time for callers such as ``analyze`` that have validated the deck.
+    D3 and D4 are a check of the card sizes; D2 holds when no star has a
+    single card bit (``m & (m - 1)`` clears the lowest one).  The maximality
+    tests are proved for valid decks only.  D1 is left to their
+    cross-checks: a full ``validate`` here would check it a second time for
+    callers such as ``analyze`` that have validated the deck.
     """
     n = deck.order
-    once = twice = 0  # bitmasks of the symbols seen on one card, and on two or more
-    for card in deck.cards:
-        if len(card.symbols) != n:
-            break
-        twice |= once & card.mask
-        once |= card.mask
-    else:
-        if n >= 2 and twice == once:  # every symbol of the deck is on some card
-            return
+    if n >= 2 and all(card.size == n for card in deck.cards) and all(m & (m - 1) for m in deck.stars):
+        return
     raise cross_check_failure(deck, "a deck that breaks D2, D3 or D4 passed validation")
 
 

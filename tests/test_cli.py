@@ -8,7 +8,7 @@ import pytest
 
 from sample_decks import FANO_TEXT, PAIRED_4_TEXT, THREE_BLOCK_TEXT
 from spotdeck.cli import main
-from spotdeck.deck import MalformedCardError, normalize
+from spotdeck.deck import InvariantViolation, MalformedCardError, normalize
 from spotdeck.formats import deck_payload, parse_deck_text, render_deck_text, to_json
 
 
@@ -76,6 +76,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "invalid" in captured.out
         assert "D1" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "maximal", "extend", "spot"])
+    def test_invalid_deck_report(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_text("a b\nc d\n")
+        extra = ["--cards", "0,1"] if command == "spot" else []
+        assert main([command, str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "invalid: 5 violation(s)\n"
+        assert captured.err == "D1: cards 0 and 1 share 0 symbols (nothing)\n" + "".join(
+            f"D2: symbol '{t}' appears on 1 card(s)\n" for t in "abcd"
+        )
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"
@@ -251,6 +263,17 @@ class TestSpotCommand:
         assert main(["spot", fano_file, "--cards", "0,1,2,3,4", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["cards"]) >= 3
+
+
+def test_internal_error_exits_3_without_traceback(fano_file, monkeypatch, capsys):
+    def broken(deck):
+        raise InvariantViolation("cross-check failed")
+
+    monkeypatch.setattr("spotdeck.cli.is_maximal", broken)
+    assert main(["maximal", fano_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: cross-check failed\n"
 
 
 class TestUsageErrors:

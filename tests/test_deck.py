@@ -12,6 +12,7 @@ from bruteforce import pairwise_violations
 from sample_decks import FANO_ROWS, PAIRED_4_TEXT, THREE_BLOCK_ROWS, TWO_SYM_3_ROWS
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, is_prime, max_blocks
 from spotdeck.deck import (
+    InvalidDeckError,
     MalformedCardError,
     normalize,
     partition_by_card,
@@ -20,6 +21,7 @@ from spotdeck.deck import (
     validate,
 )
 from spotdeck.formats import parse_deck_text
+from spotdeck.maximality import _require_cheap_axioms
 
 
 class TestNormalize:
@@ -189,6 +191,52 @@ class TestValidateMatchesPairwise:
     @given(random_decks())
     def test_random_decks(self, deck):
         assert_matches_pairwise(deck)
+
+
+def assert_stars_match_sets(deck):
+    """``deck.stars``, the multiplicities and ``star`` agree with card sets read off the rows."""
+    members = [set() for _ in range(deck.length)]
+    for i, row in enumerate(deck.rows):
+        for s in row:
+            members[s].add(i)
+    assert deck.stars == tuple(sum(1 << i for i in cards) for cards in members)
+    assert symbol_multiplicities(deck) == [len(cards) for cards in members]
+    for s, cards in enumerate(members):
+        assert star(deck, s).card_indices == tuple(sorted(cards))
+
+
+def assert_cheap_axioms_match_validate(deck):
+    """``_require_cheap_axioms`` raises exactly when ``validate`` reports D2, D3 or D4."""
+    broken = {v.axiom for v in validate(deck).violations} & {"D2", "D3", "D4"}
+    if broken:
+        with pytest.raises(InvalidDeckError):
+            _require_cheap_axioms(deck)
+    else:
+        _require_cheap_axioms(deck)
+
+
+class TestStars:
+    @pytest.mark.parametrize("name", list(SAMPLES))
+    def test_samples(self, name):
+        deck = SAMPLES[name]()
+        variants = (deck, corrupted(deck, deck.card_count // 2), with_duplicate(deck, 0))
+        for variant in variants:
+            assert_stars_match_sets(variant)
+            assert_cheap_axioms_match_validate(variant)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_decks())
+    def test_random_decks(self, deck):
+        assert_stars_match_sets(deck)
+        assert_cheap_axioms_match_validate(deck)
+
+    def test_cheap_axioms_cases(self):
+        # D2 (a single card), D3 (one-symbol cards), D4 (mixed sizes) raise;
+        # a deck that breaks only D1 passes
+        for rows in ([["a", "b"]], [["a"], ["a"]], [["a", "b"], ["a", "b", "c"], ["b", "c"]]):
+            with pytest.raises(InvalidDeckError):
+                _require_cheap_axioms(normalize(rows))
+        _require_cheap_axioms(normalize([["a", "b"], ["a", "b"]]))
 
 
 def test_validate_at_scale():

@@ -22,6 +22,7 @@ from spotdeck.deck import (
     normalize,
     validate,
 )
+from spotdeck.enumeration import canonical_form
 from spotdeck.maximality import complete, is_maximal
 
 DISJOINT = [["a", "b"], ["c", "d"]]
@@ -45,6 +46,13 @@ def test_one_symbol_cards(check):
     # the order is below 2, so the deck breaks D3 and has no fundamental number
     with pytest.raises(InvalidDeckError, match="card 0 has only 1 symbol"):
         check(normalize([["a"], ["b"]]))
+
+
+@pytest.mark.parametrize("rows", [[[0, 1, 2], [1, 3]], [[1, 2], [0, 1, 2]]])
+def test_canonical_form_needs_one_card_size(rows):
+    # the search pads every card to the first card's size, which would invent symbols
+    with pytest.raises(InvalidDeckError, match="D4"):
+        canonical_form(normalize(rows))
 
 
 def test_kn2_lemma_on_disjoint_cards():

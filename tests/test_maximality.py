@@ -12,7 +12,7 @@ from spotdeck.constructions import (
     build_two_symmetric,
     remove_cards,
 )
-from spotdeck.deck import _star_masks, normalize, validate
+from spotdeck.deck import normalize, validate
 from spotdeck.enumeration import canonical_form
 from spotdeck.maximality import (
     _transversals,
@@ -92,7 +92,7 @@ def run_transversals(deck, stop_at=None):
         return len(visited) - 1 == stop_at
 
     cards = [card.symbols for card in deck.cards]
-    stopped = _transversals(cards, _star_masks(deck), deck.aligned, deck.order, visit)
+    stopped = _transversals(cards, deck.stars, deck.aligned, deck.order, visit)
     return visited, stopped
 
 
