@@ -271,10 +271,8 @@ def check_kn2_lemma(deck: Deck, card_indices: list[int] | tuple[int, ...], k: in
     expected = k * deck.order + 2
     if len(idx) != expected:
         raise ValueError(f"need exactly k*n+2 = {expected} cards, got {len(idx)}")
-    hits = [0] * deck.length
-    for i in idx:
-        for s in deck.cards[i].symbols:
-            hits[s] += 1
+    chosen = sum(1 << i for i in idx)
+    hits = [(m & chosen).bit_count() for m in deck.stars]
     for s, h in enumerate(hits):
         if h >= k + 2:
             return s
@@ -298,10 +296,8 @@ def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) ->
         raise ValueError(f"need exactly n+1 = {n + 1} distinct cards, got {len(set(idx))}")
     if any(not 0 <= i < deck.card_count for i in idx):
         raise ValueError("card index out of range")
-    hits = [0] * deck.length
-    for i in idx:
-        for s in deck.cards[i].symbols:
-            hits[s] += 1
+    chosen = sum(1 << i for i in set(idx))
+    hits = [(m & chosen).bit_count() for m in deck.stars]
     triple = next((s for s, h in enumerate(hits) if h >= 3), None)
     single = next((s for s, h in enumerate(hits) if h == 1), None)
     if triple is None or single is None:

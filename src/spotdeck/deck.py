@@ -51,10 +51,6 @@ class Card:
     def size(self) -> int:
         return len(self.symbols)
 
-    def overlap(self, other: "Card") -> int:
-        """Number of symbols shared with another card."""
-        return (self.mask & other.mask).bit_count()
-
     def __contains__(self, symbol: int) -> bool:
         return bool(self.mask >> symbol & 1)
 

@@ -58,12 +58,8 @@ def canonical_form(deck: Deck) -> CanonicalForm:
     return CanonicalForm(cards=form)
 
 
-class _FoundSmaller(Exception):
-    """Raised to abort a seeded canonicity check once any smaller form appears."""
-
-
 class _OutOfBudget(Exception):
-    """Raised inside a canonicity proof when the enumeration's node budget runs out."""
+    """Raised when the enumeration's node budget runs out, at a state or inside a proof."""
 
 
 class _Budget:
@@ -73,11 +69,11 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
+        """Count one node; raise ``_OutOfBudget`` instead once the limit is used up."""
         if self.limit is not None and self.used >= self.limit:
-            return False
+            raise _OutOfBudget
         self.used += 1
-        return True
 
 
 def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
@@ -164,11 +160,13 @@ def _minimal_form(
     of the census are full of them.
 
     With ``stop_below_seed`` the incumbent starts as the deck's own card
-    list under the identity labeling, and the search raises
-    ``_FoundSmaller`` as soon as any strictly smaller complete form turns
-    up, which makes "is this deck its own canonical form" much cheaper than
-    full canonicalization.  The seed is never searched as a leaf, so this
-    mode does not jump back.
+    list under the identity labeling, and the first strictly smaller
+    complete form ends the search: its leaf becomes the incumbent and
+    returns -1, which every level above passes on as a jump back past the
+    root.  The result is then below the seed exactly when the deck is not
+    its own canonical form, which is much cheaper to settle than full
+    canonicalization.  The seed is never searched as a leaf, so this mode
+    does not otherwise jump back.
 
     Each search node spends one unit of ``budget``, if given; when it runs
     out the search raises ``_OutOfBudget``.
@@ -195,16 +193,15 @@ def _minimal_form(
     def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
         """Search below the node at depth ``k``; return the depth to resume at."""
         nonlocal best, best_path
-        if budget is not None and not budget.spend():
-            raise _OutOfBudget
+        if budget is not None:
+            budget.spend()
         if k == length:
-            fills = filler[k]
-            form = sorted(part + fills[n - len(part)] for part in partials)
+            form = sorted(partials)  # by D4 every card has all its n ids here
             if best is None or form < best:
                 best = form
                 best_path = list(path)
                 if stop_below_seed:
-                    raise _FoundSmaller
+                    return -1
             elif form == best:
                 perm = list(range(length))
                 for s, image in zip(path, best_path):
@@ -265,14 +262,11 @@ def _is_self_canonical(
     """True when the card list equals its own canonical form.
 
     Seeds the incumbent with the list itself: every branch above it dies
-    immediately, and the first smaller form aborts the search.  Raises
+    immediately, and the first smaller form ends the search.  Raises
     ``_OutOfBudget`` when ``budget`` runs out first.
     """
-    try:
-        _minimal_form(n, length, cards, stop_below_seed=True, budget=budget)
-    except _FoundSmaller:
-        return False
-    return True
+    seed = tuple(sorted(tuple(sorted(card)) for card in cards))
+    return _minimal_form(n, length, cards, stop_below_seed=True, budget=budget) == seed
 
 
 @dataclass(frozen=True)
@@ -292,9 +286,9 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     structure is partial.  A next card meets every card once, so it is a set
     of existing symbols whose stars partition the cards, padded with fresh
     ids; ``maximality._transversals``, the search that also finds extension
-    cards, lists those sets.  Each child gets its own card list, stars and
-    alignment masks, built from its parent's and passed down the recursion,
-    so nothing is undone on the way back.
+    cards, lists those sets.  Each child gets its own card list and stars,
+    built from its parent's and passed down the recursion, so nothing is
+    undone on the way back.
 
     Every structure of two or more cards is checked against its own
     canonical form, the lex-min relabeling of its sorted card list.  One that
@@ -311,8 +305,9 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     state and every non-canonical child at which the walk stopped) plus the
     search nodes of every canonicity proof.  The node budget caps that
     count, so it bounds the run time even where a single proof is long; an
-    exhausted budget stops the walk deterministically, in the middle of a
-    proof if need be, and flags the result incomplete.
+    exhausted budget raises ``_OutOfBudget``, at a state or in the middle of
+    a proof, which stops the walk deterministically and flags the result
+    incomplete.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -320,21 +315,12 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         raise ValueError("max_cards must be positive")
     budget = _Budget(node_budget)
     found: list[CanonicalForm] = []
-    overflow = False
 
-    def grow(cards: list[tuple[int, ...]], stars: list[int], aligned: list[int]) -> None:
-        """Visit one state; ``stars`` and ``aligned`` are its symbols' card and symbol masks."""
-        nonlocal overflow
-        if not budget.spend():
-            overflow = True
-            return
+    def grow(cards: list[tuple[int, ...]], stars: list[int]) -> None:
+        """Visit one state; ``stars`` holds its symbols' card masks."""
+        budget.spend()
         if len(cards) >= 2:
-            try:
-                canonical = _is_self_canonical(order, len(stars), cards, budget)
-            except _OutOfBudget:
-                overflow = True
-                return
-            if not canonical:
+            if not _is_self_canonical(order, len(stars), cards, budget):
                 return  # no extension of a non-canonical state is canonical
             if all(m & (m - 1) for m in stars):  # every symbol on two cards or more
                 found.append(CanonicalForm(cards=tuple(cards)))
@@ -350,22 +336,21 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
                 nexts.append(card)
             return False
 
-        _transversals(cards, stars, aligned, order, visit)
+        _transversals(cards, stars, order, visit)
         bit = 1 << len(cards)
         for card in sorted(nexts):
-            fresh = [0] * (card[-1] + 1 - used)  # empty when the card has no fresh id
-            child_stars, child_aligned = stars + fresh, aligned + fresh
-            mask = sum(1 << s for s in card)
+            child_stars = stars + [0] * (card[-1] + 1 - used)  # one empty star per fresh id
             for s in card:
                 child_stars[s] |= bit
-                child_aligned[s] |= mask
-            grow(cards + [card], child_stars, child_aligned)
-            if overflow:
-                return
+            grow(cards + [card], child_stars)
 
-    grow([tuple(range(order))], [1] * order, [(1 << order) - 1] * order)
+    try:
+        grow([tuple(range(order))], [1] * order)
+        complete = True
+    except _OutOfBudget:
+        complete = False
     found.sort(key=lambda form: (len(form.cards), form.cards))
-    return EnumerationResult(forms=tuple(found), complete=not overflow, nodes=budget.used)
+    return EnumerationResult(forms=tuple(found), complete=complete, nodes=budget.used)
 
 
 @dataclass(frozen=True)

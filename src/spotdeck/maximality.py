@@ -76,24 +76,24 @@ def prop_condition_holds(deck: Deck) -> bool:
 def _transversals(
     cards: Sequence[Sequence[int]],
     stars: Sequence[int],
-    aligned: Sequence[int],
     n: int,
     visit: Callable[[list[int]], bool],
 ) -> bool:
     """Call ``visit`` on every set of at most n symbols whose stars partition the cards.
 
-    ``stars[s]`` is the bitmask of the cards carrying symbol ``s`` and
-    ``aligned[s]`` the bitmask of the symbols sharing a card with it, ``s``
-    included.  The search is an exact cover (Knuth, "Dancing Links"): it
-    branches on the lowest-index card not yet covered, smallest symbol first,
-    skipping symbols aligned with anything already chosen, so every such set
-    is visited exactly once and in a fixed order.  ``visit`` gets the symbols
-    in the order they were chosen; returning true stops the search, and the
+    ``stars[s]`` is the bitmask of the cards carrying symbol ``s``; two
+    symbols share a card exactly when their stars intersect, so the chosen
+    symbols, whose stars are pairwise disjoint, are pairwise non-aligned.
+    The search is an exact cover (Knuth, "Dancing Links"): it branches on the
+    lowest-index card not yet covered, smallest symbol first, skipping
+    symbols whose star meets a card already covered, so every such set is
+    visited exactly once and in a fixed order.  ``visit`` gets the symbols in
+    the order they were chosen; returning true stops the search, and the
     return value says whether that happened.
     """
     full = (1 << len(cards)) - 1
 
-    def extend(chosen: list[int], covered: int, banned: int) -> bool:
+    def extend(chosen: list[int], covered: int) -> bool:
         if covered == full:
             return visit(chosen)
         if len(chosen) == n:
@@ -101,11 +101,11 @@ def _transversals(
         rest = ~covered & full
         pivot = (rest & -rest).bit_length() - 1
         for s in cards[pivot]:
-            if not banned >> s & 1 and extend(chosen + [s], covered | stars[s], banned | aligned[s]):
+            if not stars[s] & covered and extend(chosen + [s], covered | stars[s]):
                 return True
         return False
 
-    return extend([], 0, 0)
+    return extend([], 0)
 
 
 def find_extension(deck: Deck) -> ExtensionCandidate | None:
@@ -124,7 +124,7 @@ def find_extension(deck: Deck) -> ExtensionCandidate | None:
         return False
 
     cards = [card.symbols for card in deck.cards]
-    _transversals(cards, deck.stars, deck.aligned, deck.order, visit)
+    _transversals(cards, deck.stars, deck.order, visit)
     return ExtensionCandidate(symbols=found[0]) if found else None
 
 

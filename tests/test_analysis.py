@@ -184,6 +184,12 @@ class TestCommonTriple:
             triple, _ = find_common_triple(deck, subset)
             assert sum(1 for i in subset if triple in deck.cards[i].symbols) >= 3
 
+    def test_repeated_index_counts_its_card_once(self):
+        deck = build_paired(4)
+        for subset in combinations(range(deck.card_count), 5):
+            repeated = list(subset) + [subset[0]]
+            assert find_common_triple(deck, repeated) == find_common_triple(deck, list(subset))
+
     def test_order_3_unsupported(self, fano):
         with pytest.raises(UnsupportedDeckError):
             find_common_triple(fano, [0, 1, 2, 3])

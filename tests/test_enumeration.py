@@ -143,6 +143,18 @@ class TestEnumerate:
         assert not result.complete
         assert result.nodes == 3
 
+    def test_budget_exhausted_at_every_node(self):
+        # the budget runs out at a state or inside a canonicity proof,
+        # depending on where the walk is; either way the run stops there
+        full = enumerate_decks(3, 7)
+        assert full.complete and full.nodes == 497
+        for budget in range(1, full.nodes):
+            result = enumerate_decks(3, 7, node_budget=budget)
+            assert result.nodes == budget
+            assert not result.complete
+            assert set(result.forms) <= set(full.forms)
+        assert enumerate_decks(3, 7, node_budget=full.nodes) == full
+
     def test_budget_bounds_canonicity_proofs(self):
         # a single canonicity proof on an order-5 partial deck can run for
         # minutes; its search nodes spend the same budget, so a small budget

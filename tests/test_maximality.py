@@ -92,7 +92,7 @@ def run_transversals(deck, stop_at=None):
         return len(visited) - 1 == stop_at
 
     cards = [card.symbols for card in deck.cards]
-    stopped = _transversals(cards, deck.stars, deck.aligned, deck.order, visit)
+    stopped = _transversals(cards, deck.stars, deck.order, visit)
     return visited, stopped
 
 
