@@ -4,8 +4,11 @@ A deck is maximal when no card of existing symbols can be added while keeping
 the axioms.  An extension card must consist of n pairwise non-aligned symbols
 whose stars partition the whole deck; only existing symbols qualify because a
 fresh symbol would sit on a single card of the extended deck and break D2.
-One exact-cover search, ``_transversals``, lists such sets of symbols: it
-finds extension cards here and generates the next cards of the census in
+Their multiplicities therefore sum to the card count, so a deck on which no
+n multiplicities sum to it (the subset-sum test, ``prop_condition_holds``)
+is maximal without a search.  Only on the other decks does one exact-cover
+search, ``_transversals``, list such sets of symbols: it finds extension
+cards here and generates the next cards of the census in
 :mod:`spotdeck.enumeration`.
 """
 
@@ -111,10 +114,15 @@ def _transversals(
 def find_extension(deck: Deck) -> ExtensionCandidate | None:
     """Search for a card of n existing symbols meeting every card exactly once.
 
-    The first set of n symbols that ``_transversals`` visits is returned, so
-    the witness is deterministic.  Returns ``None`` when no extension card
-    exists.
+    Returns ``None`` when no extension card exists.  The stars of an
+    extension card partition the deck, so its multiplicities sum to the card
+    count: a deck that passes the subset-sum test has none, and the search
+    runs only on the decks that fail it.  There the first set of n symbols
+    that ``_transversals`` visits is returned, so the witness is
+    deterministic.
     """
+    if prop_condition_holds(deck):
+        return None
     found: list[tuple[int, ...]] = []
 
     def visit(chosen: list[int]) -> bool:
@@ -150,14 +158,17 @@ def _require_cheap_axioms(deck: Deck) -> None:
 
 
 def is_maximal(deck: Deck) -> MaximalityVerdict:
-    """Run all three maximality tests and assert the implication chain.
+    """Run all three maximality tests and cross-check them.
 
-    sufficient condition => subset-sum condition => no extension exists; any
-    break in the chain, or an extension that fails re-validation, raises
-    ``InvariantViolation``, or ``InvalidDeckError`` when the input deck
-    breaks an axiom.  A deck with a wrong card size or a symbol on one card
-    is rejected before any search; one that breaks only D1 is rejected when
-    a cross-check fails, and may otherwise get a verdict.
+    sufficient condition => subset-sum condition => no extension exists.
+    ``find_extension`` runs the exact search only when the subset-sum test
+    fails, so that test decides the last link; the tests check it against
+    the unbounded search.  A min-sum pass with a subset-sum failure, or an
+    extension that fails re-validation, raises ``InvariantViolation``, or
+    ``InvalidDeckError`` when the input deck breaks an axiom.  A deck with
+    a wrong card size or a symbol on one card is rejected before any search;
+    one that breaks only D1 is rejected when a cross-check fails, and may
+    otherwise get a verdict.
     """
     _require_cheap_axioms(deck)
     sufficient = sufficient_maximal(deck)
@@ -166,8 +177,6 @@ def is_maximal(deck: Deck) -> MaximalityVerdict:
     exact = extension is None
     if sufficient and not prop_holds:
         raise cross_check_failure(deck, "min-sum test passed but some n multiplicities sum to c")
-    if prop_holds and not exact:
-        raise cross_check_failure(deck, "subset-sum condition held yet an extension card was found")
     if extension is not None and not validate(_with_card(deck, extension.symbols)).valid:
         raise cross_check_failure(deck, "extension card does not yield a valid deck")
     return MaximalityVerdict(
@@ -196,8 +205,10 @@ def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
     partial deck flagged non-maximal when an extension is still pending.
     An input deck that breaks D2, D3 or D4 raises ``InvalidDeckError`` before
     any search, and one that breaks D1 once an intermediate deck fails
-    validation.
+    validation.  A negative ``max_steps`` raises ``ValueError``.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must not be negative")
     _require_cheap_axioms(deck)
     current = deck
     added: list[ExtensionCandidate] = []

@@ -188,6 +188,13 @@ class TestExtendCommand:
     def test_zero_budget_flags_incomplete(self, fano_minus_one_file, capsys):
         assert main(["extend", fano_minus_one_file, "--steps", "0"]) == 1
 
+    @pytest.mark.parametrize("deck_file", ["fano_file", "fano_minus_one_file"])
+    def test_negative_steps_is_a_usage_error(self, deck_file, request, capsys):
+        assert main(["extend", request.getfixturevalue(deck_file), "--steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_steps must not be negative\n"
+
 
 class TestEnumerateCommand:
     def test_order_2(self, capsys):

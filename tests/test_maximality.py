@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
+
+import pytest
 
 from bruteforce import exact_hitting_sets
 from spotdeck.analysis import multiplicities
 from spotdeck.constructions import (
+    RemovalInvalidError,
     build_grid_blocks,
     build_paired,
     build_two_symmetric,
@@ -116,6 +120,61 @@ class TestTransversals:
                 visited, stopped = run_transversals(deck, stop_at)
                 assert stopped
                 assert visited == everything[: stop_at + 1]
+
+
+def trimmed_decks():
+    """Seeded random removals of 1-3 cards from paired and grid decks.
+
+    Removals that leave a symbol on one card are skipped.  Two-symmetric
+    decks are not drawn: every symbol sits on two cards, so every removal
+    breaks D2.
+    """
+    rng = random.Random(8)
+    bases = [build_paired(n) for n in (3, 4, 6)]
+    bases += [build_grid_blocks(n, k) for n in (4, 6, 8) for k in range(3, n + 1)]
+    decks = []
+    for base in bases:
+        for _ in range(5):
+            removed = rng.sample(range(base.card_count), rng.randint(1, 3))
+            try:
+                decks.append(remove_cards(base, removed))
+            except RemovalInvalidError:
+                pass
+    return decks
+
+
+class TestSumProof:
+    """The subset-sum proof that ``find_extension`` starts with, against the search.
+
+    ``find_extension`` returns ``None`` without searching on a deck the
+    subset-sum test proves maximal.
+    """
+
+    def test_search_finds_no_extension_on_proved_decks(self, fano, three_block):
+        proved = [fano, three_block, build_grid_blocks(9, 2), build_grid_blocks(10, 3), build_two_symmetric(11)]
+        for deck in proved:
+            assert prop_condition_holds(deck)
+            visited, _ = run_transversals(deck)
+            assert all(len(chosen) < deck.order for chosen in visited)
+
+    @pytest.mark.parametrize("n", [12, 14, 18])
+    def test_large_proved_grids(self, n):
+        verdict = is_maximal(build_grid_blocks(n, 2))
+        assert verdict.prop_condition
+        assert verdict.exact and verdict.extension is None
+
+    def test_witness_is_the_first_full_set_visited(self):
+        decks = trimmed_decks()
+        assert len(decks) >= 50
+        outcomes = set()
+        for deck in decks:
+            visited, _ = run_transversals(deck)
+            full = [chosen for chosen in visited if len(chosen) == deck.order]
+            extension = find_extension(deck)
+            assert (extension.symbols if extension else None) == (full[0] if full else None)
+            outcomes.add(extension is None)
+        # the decks exercise both the search and the sum proof
+        assert outcomes == {False, True}
 
 
 class TestFindExtension:
