@@ -30,7 +30,6 @@ from .constructions import (
     remove_cards,
 )
 from .deck import (
-    Card,
     Deck,
     DeckError,
     InvalidDeckError,

@@ -91,7 +91,7 @@ def check_identities(deck: Deck) -> IdentityReport:
     delta = _deck_fundamental(deck)
     full = (1 << length) - 1
 
-    card_sums = tuple(sum(counts[s] for s in card.symbols) for card in deck.cards)
+    card_sums = tuple(sum(counts[s] for s in card) for card in deck.cards)
     square_sum = sum(m * m for m in counts)
 
     checks: list[CheckResult] = []
@@ -231,7 +231,7 @@ def classify(deck: Deck) -> Classification:
         if n_low < 0 or n_high < 0 or n_low + n_high != n:
             raise cross_check_failure(deck, f"two-multiplicity split ({n_low}, {n_high}) is not a split of n")
         for index, card in enumerate(deck.cards):
-            direct = sum(1 for s in card.symbols if counts[s] == lo)
+            direct = sum(1 for s in card if counts[s] == lo)
             if direct != n_low:
                 raise cross_check_failure(
                     deck,

@@ -41,8 +41,8 @@ def _load(path: str) -> Deck:
 
 
 def _budget(value: int) -> int | None:
-    # 0 or negative means unlimited
-    return value if value > 0 else None
+    # 0 means unlimited; the search rejects a negative budget
+    return value or None
 
 
 def _print_violations(violations) -> None:

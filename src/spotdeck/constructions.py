@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .deck import Deck, DeckError, normalize, validate
+from .deck import Deck, DeckError, cross_check_failure, normalize, validate
 
 ROWS = "rows"
 COLUMNS = "columns"
@@ -203,7 +203,9 @@ def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
 
     Symbols no longer on any card disappear and the length shrinks; a symbol
     left on exactly one card breaks axiom D2 and aborts the removal with the
-    offending symbols as witnesses.
+    offending symbols as witnesses.  Removing cards from a valid deck can
+    break no other axiom, so any other violation of the remaining deck means
+    the input was invalid and raises ``InvalidDeckError``.
     """
     chosen = set(indices)
     if not chosen:
@@ -219,6 +221,8 @@ def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
         isolated = tuple(
             trimmed.tokens[v.symbols[0]] for v in result.violations if v.axiom == "D2"
         )
+        if not isolated:
+            raise cross_check_failure(deck, "removing cards from a valid deck broke an axiom other than D2")
         raise RemovalInvalidError(
             "removal leaves symbols on a single card: " + ", ".join(isolated), isolated
         )

@@ -2,21 +2,21 @@
 
 A deck is a finite list of equal-size symbol sets ("cards") in which any two
 cards share exactly one symbol and every symbol sits on at least two cards.
-Symbols are stored as dense integer ids; every card carries both a sorted
-tuple and a bitmask so that intersection counting is a couple of word ops.
-Every symbol's star, the bitmask of the cards carrying it, is built once by
-:func:`normalize` and kept on the deck as ``Deck.stars``: a symbol's
-multiplicity is the bit count of its star, and validation, the maximality
-tests and the star and partition queries all read the stars from there.  The
-one-shared-symbol axiom holds for a card exactly when the stars of its
-symbols cover every other card once, so checking a deck of c cards and order
-n takes c*n mask operations rather than a pass over all c*(c-1)/2 card
-pairs.
+Symbols are stored as dense integer ids.  The deck keeps its incidence two
+ways, both built once by :func:`normalize`: each card as a sorted id tuple
+(``Deck.cards``), and each symbol's star, the bitmask of the cards carrying
+it (``Deck.stars``).  A symbol's multiplicity is the bit count of its star,
+and validation, the maximality tests, the canonical search and the star and
+partition queries all read the stars from there.  The one-shared-symbol
+axiom holds for a card exactly when the stars of its symbols cover every
+other card once, so checking a deck of c cards and order n takes c*n mask
+operations rather than a pass over all c*(c-1)/2 card pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 
@@ -41,45 +41,42 @@ class InvariantViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Card:
-    """One card: a set of symbols kept as a sorted id tuple plus a bitmask."""
-
-    symbols: tuple[int, ...]
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def __contains__(self, symbol: int) -> bool:
-        return bool(self.mask >> symbol & 1)
-
-
-@dataclass(frozen=True)
 class Deck:
     """An ordered collection of cards over dense integer symbol ids.
 
-    ``tokens`` maps each dense id back to its original symbol token and
-    ``rows`` keeps the symbol order of the input, so rendering reproduces the
-    source text exactly.  ``aligned[s]`` is the bitmask of symbols sharing at
-    least one card with ``s`` (``s`` itself included), and ``stars[s]`` the
-    bitmask of the cards carrying ``s`` (bit ``i`` for card ``i``), whose bit
-    count is the multiplicity of ``s``.  ``order`` is the size of the first
-    card; uniformity is an axiom checked by :func:`validate`, not assumed
-    here.
+    ``cards[i]`` is card ``i`` as a sorted tuple of symbol ids and
+    ``stars[s]`` the bitmask of the cards carrying ``s`` (bit ``i`` for card
+    ``i``), whose bit count is the multiplicity of ``s``.  ``tokens`` maps
+    each dense id back to its original symbol token and ``rows`` keeps the
+    symbol order of the input, so rendering reproduces the source text
+    exactly.  ``order`` is the size of the first card; uniformity is an
+    axiom checked by :func:`validate`, not assumed here.
     """
 
-    cards: tuple[Card, ...]
+    cards: tuple[tuple[int, ...], ...]
     order: int
     length: int
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    aligned: tuple[int, ...]
     stars: tuple[int, ...]
 
     @property
     def card_count(self) -> int:
         return len(self.cards)
+
+    @cached_property
+    def aligned(self) -> tuple[int, ...]:
+        """``aligned[s]``: the bitmask of symbols sharing a card with ``s``, ``s`` included.
+
+        Built from the cards on first read, since only the classification
+        and the identity checks need it.
+        """
+        aligned = [0] * self.length
+        for card in self.cards:
+            mask = sum(1 << s for s in card)
+            for s in card:
+                aligned[s] |= mask
+        return tuple(aligned)
 
     def card_tokens(self, index: int) -> tuple[str, ...]:
         """Tokens of one card, in original input order."""
@@ -89,9 +86,8 @@ class Deck:
 def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
     """Map tokens to dense ids in first-occurrence order and build the deck.
 
-    Tokens are compared by their string form.  Derived fields (order, length,
-    alignment, stars) are populated but no axiom is checked; see
-    :func:`validate`.
+    Tokens are compared by their string form.  The rows, the sorted cards
+    and the stars are built but no axiom is checked; see :func:`validate`.
 
     Raises ``MalformedCardError`` when a card repeats a token and
     ``ValueError`` on an empty deck or an empty card.
@@ -101,9 +97,11 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
     ids: dict[str, int] = {}
     tokens: list[str] = []
     rows: list[tuple[int, ...]] = []
+    stars: list[int] = []
     for row_index, raw in enumerate(raw_cards):
         if not raw:
             raise ValueError(f"card {row_index} is empty")
+        bit = 1 << row_index
         row: list[int] = []
         seen: set[str] = set()
         for item in raw:
@@ -114,32 +112,19 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
             if token not in ids:
                 ids[token] = len(tokens)
                 tokens.append(token)
-            row.append(ids[token])
+                stars.append(0)
+            s = ids[token]
+            row.append(s)
+            stars[s] |= bit
         rows.append(tuple(row))
 
-    cards = []
-    for row in rows:
-        mask = 0
-        for s in row:
-            mask |= 1 << s
-        cards.append(Card(symbols=tuple(sorted(row)), mask=mask))
-
-    length = len(tokens)
-    aligned = [0] * length
-    stars = [0] * length
-    for i, card in enumerate(cards):
-        bit = 1 << i
-        for s in card.symbols:
-            aligned[s] |= card.mask
-            stars[s] |= bit
-
+    cards = tuple(tuple(sorted(row)) for row in rows)
     return Deck(
-        cards=tuple(cards),
-        order=cards[0].size,
-        length=length,
+        cards=cards,
+        order=len(cards[0]),
+        length=len(tokens),
         tokens=tuple(tokens),
         rows=tuple(rows),
-        aligned=tuple(aligned),
         stars=tuple(stars),
     )
 
@@ -192,24 +177,23 @@ def validate(deck: Deck) -> ValidationResult:
     if deck.length < 1:
         violations.append(Violation("D5", "the deck has no symbols", count=0))
     for i, card in enumerate(deck.cards):
-        if card.size < 2:
-            violations.append(
-                Violation("D3", f"card {i} has only {card.size} symbol(s)", cards=(i,), count=card.size)
-            )
-        if card.size != deck.order:
+        size = len(card)
+        if size < 2:
+            violations.append(Violation("D3", f"card {i} has only {size} symbol(s)", cards=(i,), count=size))
+        if size != deck.order:
             violations.append(
                 Violation(
                     "D4",
-                    f"card {i} has {card.size} symbols, the first card has {deck.order}",
+                    f"card {i} has {size} symbols, the first card has {deck.order}",
                     cards=(i,),
-                    count=card.size,
+                    count=size,
                 )
             )
     stars = deck.stars
     full = (1 << deck.card_count) - 1
     for i, card in enumerate(deck.cards):
         once = twice = 0
-        for s in card.symbols:
+        for s in card:
             twice |= once & stars[s]
             once |= stars[s]
         bad = (~once | twice) & full >> (i + 1) << (i + 1)
@@ -217,17 +201,15 @@ def validate(deck: Deck) -> ValidationResult:
             low = bad & -bad
             bad ^= low
             j = low.bit_length() - 1
-            common = card.mask & deck.cards[j].mask
-            size = common.bit_count()
-            shared = tuple(s for s in card.symbols if common >> s & 1)
+            shared = tuple(s for s in card if stars[s] >> j & 1)
             names = ", ".join(deck.tokens[s] for s in shared) or "nothing"
             violations.append(
                 Violation(
                     "D1",
-                    f"cards {i} and {j} share {size} symbols ({names})",
+                    f"cards {i} and {j} share {len(shared)} symbols ({names})",
                     cards=(i, j),
                     symbols=shared,
-                    count=size,
+                    count=len(shared),
                 )
             )
     for s, mask in enumerate(stars):
@@ -284,6 +266,6 @@ def partition_by_card(deck: Deck, card_index: int) -> list[tuple[int, ...]]:
     if not 0 <= card_index < deck.card_count:
         raise ValueError(f"card index {card_index} out of range")
     packs = []
-    for s in deck.cards[card_index].symbols:
+    for s in deck.cards[card_index]:
         packs.append(tuple(i for i in star(deck, s).card_indices if i != card_index))
     return packs

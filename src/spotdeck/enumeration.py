@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .analysis import classify, fundamental_number, multiplicities
 from .deck import Deck, InvalidDeckError, deck_from_cards
@@ -52,10 +53,9 @@ def canonical_form(deck: Deck) -> CanonicalForm:
     Raises ``InvalidDeckError`` when the cards differ in size (D4): the
     search pads every card to the first card's size.
     """
-    if any(card.size != deck.order for card in deck.cards):
+    if any(len(card) != deck.order for card in deck.cards):
         raise InvalidDeckError("the deck breaks D4: its cards differ in size")
-    form = _minimal_form(deck.order, deck.length, [card.symbols for card in deck.cards])
-    return CanonicalForm(cards=form)
+    return CanonicalForm(cards=_minimal_form(deck.order, deck.cards, deck.stars))
 
 
 class _OutOfBudget(Exception):
@@ -93,11 +93,11 @@ def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
 
 
 def _known_automorphisms(
-    length: int, cards: list[tuple[int, ...]], member_cards: list[list[int]]
+    cards: Sequence[tuple[int, ...]], stars: Sequence[int]
 ) -> list[tuple[tuple[int, ...], int]]:
     """Symbol swaps that map the card list onto itself, read off the stars.
 
-    Two symbols on the same cards can be swapped.  So can the private
+    Two symbols with the same star can be swapped.  So can the private
     symbols (on one card only) of two cards whose other symbols agree,
     paired in order: the two cards trade places.  Each swap comes with the
     bitmask of the symbols it moves.  Swaps pair neighbours, so that
@@ -107,24 +107,23 @@ def _known_automorphisms(
     found: list[tuple[tuple[int, ...], int]] = []
 
     def swap(pairs) -> None:
-        perm = list(range(length))
+        perm = list(range(len(stars)))
         moved = 0
         for a, b in pairs:
             perm[a], perm[b] = b, a
             moved |= 1 << a | 1 << b
         found.append((tuple(perm), moved))
 
-    twins: dict[tuple[int, ...], int] = {}
-    for s in range(length):
-        key = tuple(member_cards[s])
-        if key in twins:
-            swap([(twins[key], s)])
-        twins[key] = s
+    twins: dict[int, int] = {}
+    for s, m in enumerate(stars):
+        if m in twins:
+            swap([(twins[m], s)])
+        twins[m] = s
     shapes: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for card in cards:
-        private = [s for s in card if len(member_cards[s]) == 1]
+        private = [s for s in card if not stars[s] & (stars[s] - 1)]
         if private:
-            key = (tuple(s for s in card if len(member_cards[s]) > 1), len(private))
+            key = (tuple(s for s in card if stars[s] & (stars[s] - 1)), len(private))
             if key in shapes:
                 swap(zip(shapes[key], private))
             shapes[key] = private
@@ -133,17 +132,20 @@ def _known_automorphisms(
 
 def _minimal_form(
     n: int,
-    length: int,
-    cards: list[tuple[int, ...]],
+    cards: Sequence[tuple[int, ...]],
+    stars: Sequence[int],
     stop_below_seed: bool = False,
     budget: _Budget | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Branch-and-bound over which old symbol receives each successive new id.
 
-    The bound pads every partially relabeled card with the smallest ids it
-    could still receive; assigned ids always sit below pending ones, so each
-    padded card is an elementwise lower bound of its completion and a branch
-    whose padded sorted list is above the incumbent is dead.
+    The deck comes as its cards, symbol id tuples, and its stars:
+    ``stars[s]`` is the bitmask of the cards carrying symbol ``s``, and the
+    deck's length is the number of stars.  The bound pads every partially
+    relabeled card with the smallest ids it could still receive; assigned ids
+    always sit below pending ones, so each padded card is an elementwise
+    lower bound of its completion and a branch whose padded sorted list is
+    above the incumbent is dead.
 
     Branches whose bound equals the incumbent stay alive, so leaves equal to
     it are reached.  Two labelings giving the same form differ by an
@@ -171,10 +173,10 @@ def _minimal_form(
     Each search node spends one unit of ``budget``, if given; when it runs
     out the search raises ``_OutOfBudget``.
     """
-    member_cards: list[list[int]] = [[] for _ in range(length)]
-    for index, card in enumerate(cards):
-        for s in card:
-            member_cards[s].append(index)
+    length = len(stars)
+    # each star as a list of card indices: the loops below walk them, which is
+    # faster than walking the bits
+    carriers = [[i for i in range(len(cards)) if m >> i & 1] for m in stars]
     best: list[tuple[int, ...]] | None = None
     # best_path[i] is the old symbol that receives id i in the incumbent
     best_path: list[int] = []
@@ -182,7 +184,7 @@ def _minimal_form(
         best = sorted(tuple(sorted(card)) for card in cards)
         best_path = list(range(length))
     # automorphisms found so far, each with the bitmask of the symbols it moves
-    generators = _known_automorphisms(length, cards, member_cards)
+    generators = _known_automorphisms(cards, stars)
     path: list[int] = []
 
     # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
@@ -222,7 +224,7 @@ def _minimal_form(
         ranked = []
         for s in free:
             bound = list(later)
-            for index in member_cards[s]:
+            for index in carriers[s]:
                 part = partials[index]
                 bound[index] = part + (k,) + fills[n - len(part) - 1]
             bound.sort()
@@ -242,7 +244,7 @@ def _minimal_form(
                 continue  # an image of a child already searched
             done = _orbit_closure(done | 1 << s, stabilizer)
             child = list(partials)
-            for index in member_cards[s]:
+            for index in carriers[s]:
                 child[index] = child[index] + (k,)
             path.append(s)
             target = search(k + 1, child, [t for t in free if t != s], fixed | 1 << s)
@@ -257,7 +259,7 @@ def _minimal_form(
 
 
 def _is_self_canonical(
-    n: int, length: int, cards: list[tuple[int, ...]], budget: _Budget | None = None
+    n: int, cards: Sequence[tuple[int, ...]], stars: Sequence[int], budget: _Budget | None = None
 ) -> bool:
     """True when the card list equals its own canonical form.
 
@@ -266,7 +268,7 @@ def _is_self_canonical(
     ``_OutOfBudget`` when ``budget`` runs out first.
     """
     seed = tuple(sorted(tuple(sorted(card)) for card in cards))
-    return _minimal_form(n, length, cards, stop_below_seed=True, budget=budget) == seed
+    return _minimal_form(n, cards, stars, stop_below_seed=True, budget=budget) == seed
 
 
 @dataclass(frozen=True)
@@ -307,12 +309,15 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     count, so it bounds the run time even where a single proof is long; an
     exhausted budget raises ``_OutOfBudget``, at a state or in the middle of
     a proof, which stops the walk deterministically and flags the result
-    incomplete.
+    incomplete.  ``None`` means no budget; a negative one raises
+    ``ValueError``.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     if max_cards < 1:
         raise ValueError("max_cards must be positive")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must not be negative")
     budget = _Budget(node_budget)
     found: list[CanonicalForm] = []
 
@@ -320,7 +325,7 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         """Visit one state; ``stars`` holds its symbols' card masks."""
         budget.spend()
         if len(cards) >= 2:
-            if not _is_self_canonical(order, len(stars), cards, budget):
+            if not _is_self_canonical(order, cards, stars, budget):
                 return  # no extension of a non-canonical state is canonical
             if all(m & (m - 1) for m in stars):  # every symbol on two cards or more
                 found.append(CanonicalForm(cards=tuple(cards)))

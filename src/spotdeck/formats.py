@@ -35,7 +35,7 @@ def deck_payload(deck: Deck) -> dict:
         "order": deck.order,
         "card_count": deck.card_count,
         "length": deck.length,
-        "cards": [[deck.tokens[s] for s in card.symbols] for card in deck.cards],
+        "cards": [[deck.tokens[s] for s in card] for card in deck.cards],
     }
 
 

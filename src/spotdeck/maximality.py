@@ -131,8 +131,7 @@ def find_extension(deck: Deck) -> ExtensionCandidate | None:
             return True
         return False
 
-    cards = [card.symbols for card in deck.cards]
-    _transversals(cards, deck.stars, deck.order, visit)
+    _transversals(deck.cards, deck.stars, deck.order, visit)
     return ExtensionCandidate(symbols=found[0]) if found else None
 
 
@@ -152,7 +151,7 @@ def _require_cheap_axioms(deck: Deck) -> None:
     callers such as ``analyze`` that have validated the deck.
     """
     n = deck.order
-    if n >= 2 and all(card.size == n for card in deck.cards) and all(m & (m - 1) for m in deck.stars):
+    if n >= 2 and all(len(card) == n for card in deck.cards) and all(m & (m - 1) for m in deck.stars):
         return
     raise cross_check_failure(deck, "a deck that breaks D2, D3 or D4 passed validation")
 

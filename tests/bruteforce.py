@@ -57,13 +57,13 @@ def pairwise_violations(deck) -> tuple[tuple, ...]:
     if deck.length < 1:
         violations.append(("D5", "the deck has no symbols", (), (), 0))
     for i, card in enumerate(deck.cards):
-        size = card.size
+        size = len(card)
         if size < 2:
             violations.append(("D3", f"card {i} has only {size} symbol(s)", (i,), (), size))
         if size != deck.order:
             message = f"card {i} has {size} symbols, the first card has {deck.order}"
             violations.append(("D4", message, (i,), (), size))
-    sets = [set(card.symbols) for card in deck.cards]
+    sets = [set(card) for card in deck.cards]
     for i, j in combinations(range(len(sets)), 2):
         shared = tuple(sorted(sets[i] & sets[j]))
         if len(shared) != 1:

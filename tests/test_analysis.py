@@ -135,11 +135,11 @@ class TestKn2Lemma:
         # k = 1, n = 3: any 5 cards carry a symbol on at least 3 of them
         for subset in combinations(range(7), 5):
             s = check_kn2_lemma(fano, list(subset), 1)
-            hits = sum(1 for i in subset if s in fano.cards[i].symbols)
+            hits = sum(1 for i in subset if s in fano.cards[i])
             assert hits >= 3
             # smallest qualifying id wins
             for smaller in range(s):
-                assert sum(1 for i in subset if smaller in fano.cards[i].symbols) < 3
+                assert sum(1 for i in subset if smaller in fano.cards[i]) < 3
 
     def test_dobble_mini_game_ten_cards(self):
         deck = build_paired(8)
@@ -147,7 +147,7 @@ class TestKn2Lemma:
         for _ in range(60):
             subset = rng.sample(range(deck.card_count), 10)
             s = check_kn2_lemma(deck, subset, 1)
-            assert sum(1 for i in subset if s in deck.cards[i].symbols) >= 3
+            assert sum(1 for i in subset if s in deck.cards[i]) >= 3
 
     def test_wrong_subset_size(self, fano):
         with pytest.raises(ValueError):
@@ -164,8 +164,8 @@ class TestCommonTriple:
         deck = build_paired(4)
         for subset in combinations(range(deck.card_count), 5):
             triple, single = find_common_triple(deck, list(subset))
-            assert sum(1 for i in subset if triple in deck.cards[i].symbols) >= 3
-            assert sum(1 for i in subset if single in deck.cards[i].symbols) == 1
+            assert sum(1 for i in subset if triple in deck.cards[i]) >= 3
+            assert sum(1 for i in subset if single in deck.cards[i]) == 1
 
     def test_order_6_sampled(self):
         deck = build_paired(6)
@@ -173,8 +173,8 @@ class TestCommonTriple:
         for _ in range(60):
             subset = rng.sample(range(deck.card_count), 7)
             triple, single = find_common_triple(deck, subset)
-            assert sum(1 for i in subset if triple in deck.cards[i].symbols) >= 3
-            assert sum(1 for i in subset if single in deck.cards[i].symbols) == 1
+            assert sum(1 for i in subset if triple in deck.cards[i]) >= 3
+            assert sum(1 for i in subset if single in deck.cards[i]) == 1
 
     def test_dobble_nine_cards(self):
         deck = build_paired(8)
@@ -182,7 +182,7 @@ class TestCommonTriple:
         for _ in range(40):
             subset = rng.sample(range(deck.card_count), 9)
             triple, _ = find_common_triple(deck, subset)
-            assert sum(1 for i in subset if triple in deck.cards[i].symbols) >= 3
+            assert sum(1 for i in subset if triple in deck.cards[i]) >= 3
 
     def test_repeated_index_counts_its_card_once(self):
         deck = build_paired(4)

@@ -26,14 +26,23 @@ HUB_DECK = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (7, 8, 9), (7, 10, 11)]
 
 
 def oracle_form(deck):
-    return bnb_minimal_form(deck.order, deck.length, [card.symbols for card in deck.cards])
+    return bnb_minimal_form(deck.order, deck.length, deck.cards)
+
+
+def card_stars(cards):
+    """The star of every symbol of the card list: the bitmask of the cards carrying it."""
+    stars = [0] * (1 + max(max(card) for card in cards))
+    for index, card in enumerate(cards):
+        for s in card:
+            stars[s] |= 1 << index
+    return stars
 
 
 def assert_pruned_search_agrees(deck, expected):
     """Canonical form and seeded canonicity verdict of ``deck`` both follow from ``expected``."""
     assert canonical_form(deck).cards == expected
-    cards = sorted(card.symbols for card in deck.cards)
-    assert enumeration._is_self_canonical(deck.order, deck.length, cards) == (tuple(cards) == expected)
+    cards = sorted(deck.cards)
+    assert enumeration._is_self_canonical(deck.order, cards, card_stars(cards)) == (tuple(cards) == expected)
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +51,9 @@ def order_four_run():
     queries = []
     pruned = enumeration._is_self_canonical
 
-    def recording(n, length, cards, budget=None):
-        verdict = pruned(n, length, cards, budget)
-        queries.append((n, length, list(cards), verdict))
+    def recording(n, cards, stars, budget=None):
+        verdict = pruned(n, cards, stars, budget)
+        queries.append((n, len(stars), list(cards), verdict))
         return verdict
 
     enumeration._is_self_canonical = recording
@@ -152,12 +161,9 @@ def test_known_automorphisms_fix_the_card_list():
     decks.append(HUB_DECK)
     swaps = 0
     for cards in decks:
-        length = 1 + max(max(card) for card in cards)
-        member_cards = [[] for _ in range(length)]
-        for index, card in enumerate(cards):
-            for s in card:
-                member_cards[s].append(index)
-        for perm, moved in enumeration._known_automorphisms(length, cards, member_cards):
+        stars = card_stars(cards)
+        length = len(stars)
+        for perm, moved in enumeration._known_automorphisms(cards, stars):
             assert moved == sum(1 << s for s in range(length) if perm[s] != s)
             image = sorted(tuple(sorted(perm[s] for s in card)) for card in cards)
             assert image == sorted(cards), (cards, perm)

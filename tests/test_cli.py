@@ -242,6 +242,20 @@ class TestCensusCommand:
         assert data["collisions"] == []
 
 
+@pytest.mark.parametrize("command", ["enumerate", "census", "probe-length"])
+class TestNodeBudgetOption:
+    def test_negative_budget_is_a_usage_error(self, command, capsys):
+        assert main([command, "--n", "3", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node_budget must not be negative\n"
+
+    def test_zero_budget_is_unlimited(self, command, capsys):
+        assert main([command, "--n", "3", "--budget", "0", "--json"]) == 0
+        # the whole order-3 search, not a truncated one
+        assert json.loads(capsys.readouterr().out)["nodes"] == 497
+
+
 class TestSpotCommand:
     def test_five_cards_of_fano(self, fano_file, capsys):
         assert main(["spot", fano_file, "--cards", "0,1,2,3,4"]) == 0

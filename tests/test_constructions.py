@@ -22,7 +22,7 @@ from spotdeck.constructions import (
     remove_cards,
     smallest_prime_factor,
 )
-from spotdeck.deck import validate
+from spotdeck.deck import InvalidDeckError, normalize, validate
 from spotdeck.enumeration import canonical_form
 from spotdeck.formats import render_deck_text
 
@@ -119,9 +119,9 @@ class TestGridBlocks:
         q = 7
         for i in range(deck.card_count):
             for j in range(i + 1, deck.card_count):
-                shared = deck.cards[i].mask & deck.cards[j].mask
-                assert shared.bit_count() == 1
-                symbol = shared.bit_length() - 1
+                shared = set(deck.cards[i]) & set(deck.cards[j])
+                assert len(shared) == 1
+                symbol = shared.pop()
                 if i // q == j // q:
                     # same block: the shared symbol is the block symbol
                     assert int(deck.tokens[symbol]) > q * q
@@ -203,6 +203,15 @@ class TestRemoveCards:
         with pytest.raises(RemovalInvalidError) as err:
             remove_cards(fano, [0, 1])
         assert err.value.symbols == ("5",)
+
+    def test_input_breaking_d1_is_an_invalid_deck(self):
+        # cards 0 and 1 share a and b; the removal leaves no symbol on one card
+        deck = normalize([list("abc"), list("abd"), list("aef"), list("ceg"), list("dfg"), list("beh")])
+        with pytest.raises(InvalidDeckError) as err:
+            remove_cards(deck, [5])
+        assert str(err.value) == (
+            "the deck is invalid: 5 violation(s), first: cards 0 and 1 share 2 symbols (a, b)"
+        )
 
     def test_block_prefix_monotone(self):
         # dropping the pace-1 block of the 3-block deck gives the 2-block deck

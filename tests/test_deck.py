@@ -49,9 +49,16 @@ class TestNormalize:
             normalize([["a", "b"], []])
 
     def test_cards_have_sorted_tuple_and_matching_mask(self, fano):
-        for card in fano.cards:
-            assert list(card.symbols) == sorted(card.symbols)
-            assert card.mask == sum(1 << s for s in card.symbols)
+        for i, card in enumerate(fano.cards):
+            assert list(card) == sorted(card)
+            # the card's symbols are exactly those whose stars carry bit i
+            assert sum(1 << s for s in card) == sum(1 << s for s, m in enumerate(fano.stars) if m >> i & 1)
+
+    def test_alignment_is_built_on_first_read(self, fano):
+        assert "aligned" not in vars(fano)
+        aligned = fano.aligned
+        assert vars(fano)["aligned"] is aligned
+        assert fano.aligned is aligned
 
     def test_integer_tokens_coerced_to_strings(self):
         deck = normalize([[1, 2], [1, 3], [2, 3]])
@@ -194,12 +201,17 @@ class TestValidateMatchesPairwise:
 
 
 def assert_stars_match_sets(deck):
-    """``deck.stars``, the multiplicities and ``star`` agree with card sets read off the rows."""
+    """The cards, ``deck.stars``, the multiplicities, ``star`` and the alignment agree with the rows."""
     members = [set() for _ in range(deck.length)]
+    partners = [set() for _ in range(deck.length)]
     for i, row in enumerate(deck.rows):
+        assert deck.cards[i] == tuple(sorted(row))
         for s in row:
             members[s].add(i)
+            partners[s].update(row)
+    assert len(deck.cards) == len(deck.rows)
     assert deck.stars == tuple(sum(1 << i for i in cards) for cards in members)
+    assert deck.aligned == tuple(sum(1 << t for t in others) for others in partners)
     assert symbol_multiplicities(deck) == [len(cards) for cards in members]
     for s, cards in enumerate(members):
         assert star(deck, s).card_indices == tuple(sorted(cards))
@@ -290,7 +302,7 @@ class TestStar:
                 members = star(deck, s).card_indices
                 seen = set()
                 for i in members:
-                    seen.update(deck.cards[i].symbols)
+                    seen.update(deck.cards[i])
                 assert len(seen) == len(members) * (n - 1) + 1
 
     def test_every_star_has_two_cards(self, fano, two_sym_3):
@@ -331,7 +343,7 @@ class TestPartition:
         counts = symbol_multiplicities(fano)
         for pivot in range(fano.card_count):
             packs = partition_by_card(fano, pivot)
-            for s, pack in zip(fano.cards[pivot].symbols, packs):
+            for s, pack in zip(fano.cards[pivot], packs):
                 assert len(pack) == counts[s] - 1
 
     def test_bad_index(self, fano):

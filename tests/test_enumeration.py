@@ -37,8 +37,7 @@ def permuted(deck, seed):
 class TestCanonicalForm:
     def test_matches_brute_force_minimum(self, fano, fano_minus_one, two_sym_3):
         for deck in (fano, fano_minus_one, two_sym_3, build_two_symmetric(2)):
-            cards = [card.symbols for card in deck.cards]
-            assert canonical_form(deck).cards == brute_min_form(cards, deck.length)
+            assert canonical_form(deck).cards == brute_min_form(deck.cards, deck.length)
 
     def test_invariant_under_relabeling(self, fano):
         reference = canonical_form(fano)
@@ -174,6 +173,15 @@ class TestEnumerate:
             enumerate_decks(1, 5)
         with pytest.raises(ValueError):
             enumerate_decks(3, 0)
+
+    def test_negative_budget_rejected(self):
+        # a negative budget is an error, not an unlimited or an empty run
+        with pytest.raises(ValueError, match="node_budget must not be negative"):
+            enumerate_decks(3, 7, node_budget=-5)
+        with pytest.raises(ValueError, match="node_budget must not be negative"):
+            census(3, node_budget=-1)
+        with pytest.raises(ValueError, match="node_budget must not be negative"):
+            probe_length_conjecture(3, node_budget=-1)
 
 
 class TestCensus:

@@ -95,8 +95,7 @@ def run_transversals(deck, stop_at=None):
         visited.append(tuple(chosen))
         return len(visited) - 1 == stop_at
 
-    cards = [card.symbols for card in deck.cards]
-    stopped = _transversals(cards, deck.stars, deck.order, visit)
+    stopped = _transversals(deck.cards, deck.stars, deck.order, visit)
     return visited, stopped
 
 
@@ -106,7 +105,7 @@ class TestTransversals:
         for deck in transversal_decks(request):
             visited, stopped = run_transversals(deck)
             assert not stopped
-            expected = exact_hitting_sets([card.symbols for card in deck.cards], deck.length, deck.order)
+            expected = exact_hitting_sets(deck.cards, deck.length, deck.order)
             assert len(visited) == len(set(map(frozenset, visited)))
             assert set(map(frozenset, visited)) == set(expected)
             full_size |= {len(chosen) == deck.order for chosen in visited}
@@ -250,7 +249,9 @@ class TestIsMaximal:
             if verdict.sufficient_corollary:
                 assert verdict.prop_condition
             if verdict.prop_condition:
-                assert verdict.exact
+                # the sum proof against the unbounded search: no n symbols partition the cards
+                visited, _ = run_transversals(deck)
+                assert all(len(chosen) < deck.order for chosen in visited)
             assert verdict.exact == (verdict.extension is None)
 
 

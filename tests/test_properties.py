@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spotdeck.analysis import check_identities, classify, fundamental_number, multiplicities
 from spotdeck.constructions import (
@@ -17,6 +17,7 @@ from spotdeck.deck import normalize, partition_by_card, validate
 from spotdeck.enumeration import canonical_form
 from spotdeck.formats import parse_deck_text, render_deck_text
 from spotdeck.maximality import is_maximal
+from test_maximality import run_transversals
 
 
 @st.composite
@@ -114,12 +115,15 @@ def test_canonical_form_is_relabeling_invariant(deck, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(built_decks())
+@example(build_grid_blocks(3, 3))  # not maximal: the pivot card of the block symbols fits
 def test_maximality_chain(deck):
     verdict = is_maximal(deck)
     if verdict.sufficient_corollary:
         assert verdict.prop_condition
     if verdict.prop_condition:
-        assert verdict.exact
+        # the sum proof against the unbounded search: no n symbols partition the cards
+        visited, _ = run_transversals(deck)
+        assert all(len(chosen) < deck.order for chosen in visited)
     assert verdict.exact == (verdict.extension is None)
 
 
@@ -129,11 +133,11 @@ def test_star_count_identity(deck):
     # every star of m cards shows exactly m*(n-1)+1 distinct symbols
     counts = multiplicities(deck).counts
     for s in range(deck.length):
-        union = 0
+        union = set()
         for card in deck.cards:
             if s in card:
-                union |= card.mask
-        assert union.bit_count() == counts[s] * (deck.order - 1) + 1
+                union.update(card)
+        assert len(union) == counts[s] * (deck.order - 1) + 1
 
 
 @settings(max_examples=25, deadline=None)
