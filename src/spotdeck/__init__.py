@@ -58,7 +58,6 @@ from .enumeration import (
 from .formats import deck_payload, parse_deck_text, render_deck_text, to_json
 from .maximality import (
     CompletionResult,
-    ExtensionCandidate,
     MaximalityVerdict,
     complete,
     find_extension,

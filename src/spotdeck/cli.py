@@ -163,7 +163,7 @@ def cmd_maximal(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     verdict = is_maximal(deck)
     extension_tokens = (
-        [deck.tokens[s] for s in sorted(verdict.extension.symbols)] if verdict.extension else None
+        [deck.tokens[s] for s in sorted(verdict.extension)] if verdict.extension else None
     )
     if args.json:
         payload = {

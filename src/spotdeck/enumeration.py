@@ -288,7 +288,7 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     structure is partial.  A next card meets every card once, so it is a set
     of existing symbols whose stars partition the cards, padded with fresh
     ids; ``maximality._transversals``, the search that also finds extension
-    cards, lists those sets.  Each child gets its own card list and stars,
+    cards, yields those sets.  Each child gets its own card list and stars,
     built from its parent's and passed down the recursion, so nothing is
     undone on the way back.
 
@@ -334,14 +334,10 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
         # next cards: a transversal of existing symbols plus fresh ids, above the last card
         used = len(stars)
         nexts: list[tuple[int, ...]] = []
-
-        def visit(chosen: list[int]) -> bool:
+        for chosen in _transversals(cards, stars, order):
             card = tuple(sorted(chosen)) + tuple(range(used, used + order - len(chosen)))
             if card > cards[-1]:
                 nexts.append(card)
-            return False
-
-        _transversals(cards, stars, order, visit)
         bit = 1 << len(cards)
         for card in sorted(nexts):
             child_stars = stars + [0] * (card[-1] + 1 - used)  # one empty star per fresh id

@@ -7,33 +7,35 @@ fresh symbol would sit on a single card of the extended deck and break D2.
 Their multiplicities therefore sum to the card count, so a deck on which no
 n multiplicities sum to it (the subset-sum test, ``prop_condition_holds``)
 is maximal without a search.  Only on the other decks does one exact-cover
-search, ``_transversals``, list such sets of symbols: it finds extension
-cards here and generates the next cards of the census in
-:mod:`spotdeck.enumeration`.
+search, the generator ``_transversals``, yield such sets of symbols: it
+finds extension cards here and generates the next cards of the census in
+:mod:`spotdeck.enumeration`.  An extension card is a plain tuple of dense
+symbol ids.  ``find_extension`` is the one place that checks the cheap
+axioms D2-D4 before any search, and ``_with_card`` the one place that
+re-validates a deck with an extension card added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .analysis import multiplicities
 from .deck import Deck, cross_check_failure, normalize, validate
 
 
 @dataclass(frozen=True)
-class ExtensionCandidate:
-    """A new card made of existing, pairwise non-aligned symbols."""
-
-    symbols: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MaximalityVerdict:
+    """The three maximality tests; ``extension`` is a new card's symbol ids, if any."""
+
     sufficient_corollary: bool
     prop_condition: bool
-    exact: bool
-    extension: ExtensionCandidate | None
+    extension: tuple[int, ...] | None
+
+    @property
+    def exact(self) -> bool:
+        """True when the exact search found no extension card: the deck is maximal."""
+        return self.extension is None
 
     @property
     def necessity_open(self) -> bool:
@@ -76,13 +78,8 @@ def prop_condition_holds(deck: Deck) -> bool:
     return not dp[n] >> c & 1
 
 
-def _transversals(
-    cards: Sequence[Sequence[int]],
-    stars: Sequence[int],
-    n: int,
-    visit: Callable[[list[int]], bool],
-) -> bool:
-    """Call ``visit`` on every set of at most n symbols whose stars partition the cards.
+def _transversals(cards: Sequence[Sequence[int]], stars: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every set of at most n symbols whose stars partition the cards.
 
     ``stars[s]`` is the bitmask of the cards carrying symbol ``s``; two
     symbols share a card exactly when their stars intersect, so the chosen
@@ -90,55 +87,58 @@ def _transversals(
     The search is an exact cover (Knuth, "Dancing Links"): it branches on the
     lowest-index card not yet covered, smallest symbol first, skipping
     symbols whose star meets a card already covered, so every such set is
-    visited exactly once and in a fixed order.  ``visit`` gets the symbols in
-    the order they were chosen; returning true stops the search, and the
-    return value says whether that happened.
+    yielded exactly once and in a fixed order, with its symbols in the order
+    they were chosen.  A caller that stops iterating stops the search.  The
+    depth-first order is kept on an explicit stack, children pushed in
+    reverse, which runs faster than a recursive generator.
     """
     full = (1 << len(cards)) - 1
-
-    def extend(chosen: list[int], covered: int) -> bool:
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        chosen, covered = stack.pop()
         if covered == full:
-            return visit(chosen)
+            yield chosen
+            continue
         if len(chosen) == n:
-            return False
+            continue
         rest = ~covered & full
         pivot = (rest & -rest).bit_length() - 1
-        for s in cards[pivot]:
-            if not stars[s] & covered and extend(chosen + [s], covered | stars[s]):
-                return True
-        return False
-
-    return extend([], 0)
+        for s in reversed(cards[pivot]):
+            if not stars[s] & covered:
+                stack.append((chosen + (s,), covered | stars[s]))
 
 
-def find_extension(deck: Deck) -> ExtensionCandidate | None:
+def find_extension(deck: Deck) -> tuple[int, ...] | None:
     """Search for a card of n existing symbols meeting every card exactly once.
 
-    Returns ``None`` when no extension card exists.  The stars of an
-    extension card partition the deck, so its multiplicities sum to the card
-    count: a deck that passes the subset-sum test has none, and the search
-    runs only on the decks that fail it.  There the first set of n symbols
-    that ``_transversals`` visits is returned, so the witness is
-    deterministic.
+    Returns the card's symbol ids in the order the search chose them, or
+    ``None`` when no extension card exists.  A deck that breaks D2, D3 or D4
+    raises ``InvalidDeckError`` first.  The stars of an extension card
+    partition the deck, so its multiplicities sum to the card count: a deck
+    that passes the subset-sum test has none, and the search runs only on
+    the decks that fail it.  There the first set of n symbols that
+    ``_transversals`` yields is returned, so the witness is deterministic.
     """
+    _require_cheap_axioms(deck)
     if prop_condition_holds(deck):
         return None
-    found: list[tuple[int, ...]] = []
-
-    def visit(chosen: list[int]) -> bool:
-        if len(chosen) == deck.order:
-            found.append(tuple(chosen))
-            return True
-        return False
-
-    _transversals(deck.cards, deck.stars, deck.order, visit)
-    return ExtensionCandidate(symbols=found[0]) if found else None
+    n = deck.order
+    return next((chosen for chosen in _transversals(deck.cards, deck.stars, n) if len(chosen) == n), None)
 
 
 def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
+    """``deck`` plus the card of ``symbols``, re-validated as a cross-check.
+
+    An extension card keeps a valid deck valid, so an invalid result means
+    the input deck was invalid (``InvalidDeckError``) or a bug
+    (``InvariantViolation``).
+    """
     rows = [deck.card_tokens(i) for i in range(deck.card_count)]
     rows.append(tuple(deck.tokens[s] for s in sorted(symbols)))
-    return normalize(rows)
+    extended = normalize(rows)
+    if not validate(extended).valid:
+        raise cross_check_failure(deck, "extension card does not yield a valid deck")
+    return extended
 
 
 def _require_cheap_axioms(deck: Deck) -> None:
@@ -146,8 +146,8 @@ def _require_cheap_axioms(deck: Deck) -> None:
 
     D3 and D4 are a check of the card sizes; D2 holds when no star has a
     single card bit (``m & (m - 1)`` clears the lowest one).  The maximality
-    tests are proved for valid decks only.  D1 is left to their
-    cross-checks: a full ``validate`` here would check it a second time for
+    tests are proved for valid decks only.  D1 is left to the cross-check in
+    ``_with_card``: a full ``validate`` here would check it a second time for
     callers such as ``analyze`` that have validated the deck.
     """
     n = deck.order
@@ -165,31 +165,24 @@ def is_maximal(deck: Deck) -> MaximalityVerdict:
     the unbounded search.  A min-sum pass with a subset-sum failure, or an
     extension that fails re-validation, raises ``InvariantViolation``, or
     ``InvalidDeckError`` when the input deck breaks an axiom.  A deck with
-    a wrong card size or a symbol on one card is rejected before any search;
-    one that breaks only D1 is rejected when a cross-check fails, and may
-    otherwise get a verdict.
+    a wrong card size or a symbol on one card is rejected by
+    ``find_extension`` before any search; one that breaks only D1 is
+    rejected when a cross-check fails, and may otherwise get a verdict.
     """
-    _require_cheap_axioms(deck)
+    extension = find_extension(deck)
     sufficient = sufficient_maximal(deck)
     prop_holds = prop_condition_holds(deck)
-    extension = find_extension(deck)
-    exact = extension is None
     if sufficient and not prop_holds:
         raise cross_check_failure(deck, "min-sum test passed but some n multiplicities sum to c")
-    if extension is not None and not validate(_with_card(deck, extension.symbols)).valid:
-        raise cross_check_failure(deck, "extension card does not yield a valid deck")
-    return MaximalityVerdict(
-        sufficient_corollary=sufficient,
-        prop_condition=prop_holds,
-        exact=exact,
-        extension=extension,
-    )
+    if extension is not None:
+        _with_card(deck, extension)
+    return MaximalityVerdict(sufficient_corollary=sufficient, prop_condition=prop_holds, extension=extension)
 
 
 @dataclass(frozen=True)
 class CompletionResult:
     deck: Deck
-    added: tuple[ExtensionCandidate, ...]
+    added: tuple[tuple[int, ...], ...]
     maximal: bool
 
     @property
@@ -200,23 +193,21 @@ class CompletionResult:
 def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
     """Add extension cards until the deck is maximal or the step budget runs out.
 
-    Every intermediate deck is re-validated; a budget stop returns the
-    partial deck flagged non-maximal when an extension is still pending.
-    An input deck that breaks D2, D3 or D4 raises ``InvalidDeckError`` before
-    any search, and one that breaks D1 once an intermediate deck fails
-    validation.  A negative ``max_steps`` raises ``ValueError``.
+    ``added`` holds the symbol ids of each added card.  Every intermediate
+    deck is re-validated; a budget stop returns the partial deck flagged
+    non-maximal when an extension is still pending.  An input deck that breaks D2, D3 or D4 raises
+    ``InvalidDeckError`` at the first ``find_extension`` call, also when
+    ``max_steps`` is 0, and one that breaks D1 once the first extended deck
+    fails validation.  A negative ``max_steps`` raises ``ValueError``.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must not be negative")
-    _require_cheap_axioms(deck)
     current = deck
-    added: list[ExtensionCandidate] = []
+    added: list[tuple[int, ...]] = []
     while max_steps is None or len(added) < max_steps:
         extension = find_extension(current)
         if extension is None:
             return CompletionResult(current, tuple(added), True)
-        current = _with_card(current, extension.symbols)
-        if not validate(current).valid:
-            raise cross_check_failure(deck, "completion produced an invalid intermediate deck")
+        current = _with_card(current, extension)
         added.append(extension)
     return CompletionResult(current, tuple(added), find_extension(current) is None)

@@ -23,10 +23,15 @@ from spotdeck.deck import (
     validate,
 )
 from spotdeck.enumeration import canonical_form
-from spotdeck.maximality import complete, is_maximal
+from spotdeck.maximality import complete, find_extension, is_maximal
 
 DISJOINT = [["a", "b"], ["c", "d"]]
 SHARED_HUB = [["a", "b", "c"], ["a", "d", "e"], ["a", "f", "g"]]
+
+
+def complete_no_steps(deck):
+    """``complete`` with no step: only its final ``find_extension`` call checks the deck."""
+    return complete(deck, 0)
 
 
 @pytest.mark.parametrize("check", [classify, is_maximal, complete])
@@ -35,17 +40,32 @@ def test_disjoint_pair(check):
         check(normalize(DISJOINT))
 
 
-@pytest.mark.parametrize("check", [is_maximal, complete])
+@pytest.mark.parametrize("check", [is_maximal, complete, complete_no_steps, find_extension])
 def test_cards_through_one_symbol(check):
     with pytest.raises(InvalidDeckError, match="appears on 1 card"):
         check(normalize(SHARED_HUB))
 
 
-@pytest.mark.parametrize("check", [classify, check_identities, is_maximal, complete])
+@pytest.mark.parametrize(
+    "check", [classify, check_identities, is_maximal, complete, complete_no_steps, find_extension]
+)
 def test_one_symbol_cards(check):
     # the order is below 2, so the deck breaks D3 and has no fundamental number
     with pytest.raises(InvalidDeckError, match="card 0 has only 1 symbol"):
         check(normalize([["a"], ["b"]]))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["a"], ["a"]], "card 0 has only 1 symbol"),  # the only "extension" repeats both cards
+        ([["a", "b"]], "appears on 1 card"),  # one card, with no extension found
+    ],
+)
+@pytest.mark.parametrize("check", [is_maximal, complete, complete_no_steps, find_extension])
+def test_degenerate_decks(check, rows, message):
+    with pytest.raises(InvalidDeckError, match=message):
+        check(normalize(rows))
 
 
 @pytest.mark.parametrize("rows", [[[0, 1, 2], [1, 3]], [[1, 2], [0, 1, 2]]])
@@ -91,6 +111,8 @@ def test_fuzzed_decks_never_raise_invariant_violation():
             "classify": lambda: classify(deck),
             "is_maximal": lambda: is_maximal(deck),
             "complete": lambda: complete(deck),
+            "complete_no_steps": lambda: complete_no_steps(deck),
+            "find_extension": lambda: find_extension(deck),
         }
         if c >= n + 2:
             checks["kn2"] = lambda: check_kn2_lemma(deck, list(range(n + 2)), 1)
@@ -105,8 +127,10 @@ def test_fuzzed_decks_never_raise_invariant_violation():
             except (DeckError, ValueError):
                 pass  # documented rejections of the arguments, such as order < 2
             else:
-                if name in ("is_maximal", "complete"):
+                if name in ("is_maximal", "complete", "complete_no_steps", "find_extension"):
                     # the cheap checks before the search leave only D1 to the cross-checks
                     assert broken <= {"D1"}, (name, rows, broken)
     # the fuzz reaches the failure path of every entry point
-    assert set(outcomes) == {"classify", "is_maximal", "complete", "kn2", "triple"}
+    assert set(outcomes) == {
+        "classify", "is_maximal", "complete", "complete_no_steps", "find_extension", "kn2", "triple"
+    }

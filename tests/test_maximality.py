@@ -84,41 +84,22 @@ def transversal_decks(request):
     return decks
 
 
-def run_transversals(deck, stop_at=None):
-    """The sets ``_transversals`` visits, in order, and its return value.
-
-    ``visit`` returns true on the call with index ``stop_at``.
-    """
-    visited = []
-
-    def visit(chosen):
-        visited.append(tuple(chosen))
-        return len(visited) - 1 == stop_at
-
-    stopped = _transversals(deck.cards, deck.stars, deck.order, visit)
-    return visited, stopped
+def run_transversals(deck):
+    """The sets ``_transversals`` yields, in order."""
+    return list(_transversals(deck.cards, deck.stars, deck.order))
 
 
 class TestTransversals:
     def test_visits_every_exact_hitting_set_once(self, request):
         full_size = set()
         for deck in transversal_decks(request):
-            visited, stopped = run_transversals(deck)
-            assert not stopped
+            visited = run_transversals(deck)
             expected = exact_hitting_sets(deck.cards, deck.length, deck.order)
             assert len(visited) == len(set(map(frozenset, visited)))
             assert set(map(frozenset, visited)) == set(expected)
             full_size |= {len(chosen) == deck.order for chosen in visited}
         # the decks exercise both sets of n symbols and shorter ones
         assert full_size == {False, True}
-
-    def test_stops_at_the_first_true(self, request):
-        for deck in transversal_decks(request):
-            everything, _ = run_transversals(deck)
-            for stop_at in range(len(everything)):
-                visited, stopped = run_transversals(deck, stop_at)
-                assert stopped
-                assert visited == everything[: stop_at + 1]
 
 
 def trimmed_decks():
@@ -153,7 +134,7 @@ class TestSumProof:
         proved = [fano, three_block, build_grid_blocks(9, 2), build_grid_blocks(10, 3), build_two_symmetric(11)]
         for deck in proved:
             assert prop_condition_holds(deck)
-            visited, _ = run_transversals(deck)
+            visited = run_transversals(deck)
             assert all(len(chosen) < deck.order for chosen in visited)
 
     @pytest.mark.parametrize("n", [12, 14, 18])
@@ -167,10 +148,10 @@ class TestSumProof:
         assert len(decks) >= 50
         outcomes = set()
         for deck in decks:
-            visited, _ = run_transversals(deck)
+            visited = run_transversals(deck)
             full = [chosen for chosen in visited if len(chosen) == deck.order]
             extension = find_extension(deck)
-            assert (extension.symbols if extension else None) == (full[0] if full else None)
+            assert extension == (full[0] if full else None)
             outcomes.add(extension is None)
         # the decks exercise both the search and the sum proof
         assert outcomes == {False, True}
@@ -185,7 +166,7 @@ class TestFindExtension:
             trimmed = remove_cards(fano, [removed])
             extension = find_extension(trimmed)
             assert extension is not None
-            recovered = {trimmed.tokens[s] for s in extension.symbols}
+            recovered = {trimmed.tokens[s] for s in extension}
             assert recovered == set(fano.card_tokens(removed))
 
     def test_matches_brute_force(self, fano, fano_minus_one, two_sym_3):
@@ -194,7 +175,7 @@ class TestFindExtension:
             found = find_extension(deck)
             if brute:
                 assert found is not None
-                assert found.symbols == min(brute)
+                assert found == min(brute)
             else:
                 assert found is None
 
@@ -203,15 +184,15 @@ class TestFindExtension:
 
     def test_extension_symbols_pairwise_non_aligned(self, fano_minus_one):
         extension = find_extension(fano_minus_one)
-        for s in extension.symbols:
-            for t in extension.symbols:
+        for s in extension:
+            for t in extension:
                 if s != t:
                     assert not fano_minus_one.aligned[s] >> t & 1
 
     def test_extension_stars_partition_the_deck(self, fano_minus_one):
         extension = find_extension(fano_minus_one)
         counts = multiplicities(fano_minus_one).counts
-        assert sum(counts[s] for s in extension.symbols) == fano_minus_one.card_count
+        assert sum(counts[s] for s in extension) == fano_minus_one.card_count
 
     def test_all_blocks_without_pivot_extends_by_the_pivot(self):
         # with every block present but no pivot card, the block symbols
@@ -221,7 +202,7 @@ class TestFindExtension:
             deck = build_grid_blocks(n, q + 1)
             extension = find_extension(deck)
             assert extension is not None
-            tokens = {deck.tokens[s] for s in extension.symbols}
+            tokens = {deck.tokens[s] for s in extension}
             assert tokens == {str(q * q + i + 1) for i in range(q + 1)}
 
 
@@ -250,7 +231,7 @@ class TestIsMaximal:
                 assert verdict.prop_condition
             if verdict.prop_condition:
                 # the sum proof against the unbounded search: no n symbols partition the cards
-                visited, _ = run_transversals(deck)
+                visited = run_transversals(deck)
                 assert all(len(chosen) < deck.order for chosen in visited)
             assert verdict.exact == (verdict.extension is None)
 

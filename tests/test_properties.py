@@ -122,7 +122,7 @@ def test_maximality_chain(deck):
         assert verdict.prop_condition
     if verdict.prop_condition:
         # the sum proof against the unbounded search: no n symbols partition the cards
-        visited, _ = run_transversals(deck)
+        visited = run_transversals(deck)
         assert all(len(chosen) < deck.order for chosen in visited)
     assert verdict.exact == (verdict.extension is None)
 
