@@ -19,7 +19,6 @@ from .analysis import (
 from .constructions import (
     COLUMNS,
     ROWS,
-    GridBlockSpec,
     RemovalInvalidError,
     UnsupportedConstructionError,
     build_blocks,

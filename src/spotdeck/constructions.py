@@ -1,16 +1,18 @@
 """Deck families built from scratch: all-multiplicity-2 decks and grid-block decks.
 
 The grid construction lays the symbols ``0 .. q*q - 1`` out as a q-by-q grid
-(``q = n - 1``) and takes "direction classes" of q cards each: the rows, the
-columns, and diagonals of a fixed pace.  Every block gets one fresh shared
-symbol; with all ``q + 1`` blocks plus the pivot card of the block symbols
-the result is a full deck in which every two symbols share a card.
+(``q = n - 1``) and takes "direction classes" of q cards each: the rows, and
+diagonals of a fixed pace, the columns being pace 0.  Every block gets one
+fresh shared symbol.  One rule decides validity: a row meets every other card
+once, and two cards of paces s and t meet once exactly when ``s - t`` is a
+unit modulo q.  With all ``q + 1`` blocks (q prime) plus the pivot card of
+the block symbols the result is a full deck in which every two symbols share
+a card.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -32,21 +34,6 @@ class RemovalInvalidError(DeckError):
         self.symbols = symbols
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def smallest_prime_factor(m: int) -> int:
     if m < 2:
         raise ValueError("no prime factor below 2")
@@ -58,61 +45,69 @@ def smallest_prime_factor(m: int) -> int:
     return m
 
 
-def max_blocks(n: int) -> int:
-    """Largest usable block count for order ``n``: q+1 when q = n-1 is prime, else p+1.
+def is_prime(m: int) -> bool:
+    return m >= 2 and smallest_prime_factor(m) == m
 
-    ``p`` is the smallest prime factor of ``q``: the pace-``p`` diagonal
-    revisits columns, so only paces ``1 .. p-1`` are available after rows and
-    columns.
+
+def max_blocks(n: int) -> int:
+    """Largest usable block count for order ``n``: ``p + 1``, ``p`` the smallest prime factor of n-1.
+
+    Blocks are compatible when their paces (columns being pace 0) differ by
+    units modulo q = n-1.  Rows plus paces ``0 .. p-1`` qualify, and of any
+    ``p + 1`` paces two agree modulo ``p``.  For a prime q that is all
+    ``q + 1`` blocks.
     """
     q = n - 1
     if q < 2:
         raise ValueError("grid construction needs order >= 3")
-    return q + 1 if is_prime(q) else smallest_prime_factor(q) + 1
+    return smallest_prime_factor(q) + 1
 
 
-@dataclass(frozen=True)
-class GridBlockSpec:
-    """A validated choice of direction blocks over a q-by-q symbol grid.
+def _block_rows(q: int, blocks: Sequence[str | int]) -> list[list[str]]:
+    """The token rows of the given direction blocks over the q-by-q symbol grid.
 
-    Two cards from different blocks must meet in exactly one grid symbol.
-    That holds for rows against anything, and for diagonal blocks exactly
-    when each pace and each pairwise pace difference is a unit modulo q,
-    which is what ``__post_init__`` enforces.
+    Grid symbol at row r, column col is ``r*q + col`` (0-based, rendered
+    1-based); block ``i`` gets the shared symbol ``q*q + i``.  Card j of the
+    rows holds grid row j.  Every other block has a pace, the columns being
+    pace 0, and its card j holds the cells ``(r, (j + pace*r) mod q)``.  A row
+    meets every other card in one cell, and cards of paces s and t meet in one
+    cell exactly when ``s - t`` is a unit modulo q.  So the blocks are built,
+    and give a valid deck, exactly when every two paces differ by a unit.
+    Each card lists its block symbol first, then its grid symbols by grid row.
     """
-
-    side: int
-    blocks: tuple[str | int, ...]
-    with_pivot: bool = False
-
-    def __post_init__(self) -> None:
-        q = self.side
-        if q < 2:
-            raise ValueError("grid side must be at least 2")
-        if len(self.blocks) < 2:
-            raise ValueError("need at least two blocks")
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ValueError("duplicate blocks")
-        slopes = []
-        for block in self.blocks:
-            if isinstance(block, int):
-                if not 1 <= block <= q - 1:
-                    raise ValueError(f"pace {block} outside 1..{q - 1}")
-                slopes.append(block)
-            elif block not in (ROWS, COLUMNS):
-                raise ValueError(f"unknown block {block!r}")
-        for s in slopes:
-            if math.gcd(s, q) != 1:
+    if len(blocks) < 2:
+        raise ValueError("need at least two blocks")
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("duplicate blocks")
+    paces: list[int | None] = []  # None for the rows
+    for block in blocks:
+        if isinstance(block, int):
+            if not 1 <= block <= q - 1:
+                raise ValueError(f"pace {block} outside 1..{q - 1}")
+            paces.append(block)
+        elif block in (ROWS, COLUMNS):
+            paces.append(None if block == ROWS else 0)
+        else:
+            raise ValueError(f"unknown block {block!r}")
+    for s, t in combinations(sorted(p for p in paces if p is not None), 2):
+        if math.gcd(t - s, q) != 1:
+            if s == 0:
                 raise UnsupportedConstructionError(
-                    f"pace {s} shares a factor with the grid side {q}; its cards would revisit columns"
+                    f"pace {t} shares a factor with the grid side {q}; its cards would revisit columns"
                 )
-        for s, t in combinations(slopes, 2):
-            if math.gcd(abs(s - t), q) != 1:
-                raise UnsupportedConstructionError(
-                    f"paces {s} and {t} collide: their difference shares a factor with {q}"
-                )
-        if self.with_pivot and len(self.blocks) != q + 1:
-            raise ValueError("the pivot card requires all q+1 blocks")
+            raise UnsupportedConstructionError(
+                f"paces {s} and {t} collide: their difference shares a factor with {q}"
+            )
+    rows: list[list[str]] = []
+    for i, pace in enumerate(paces):
+        token = str(q * q + i + 1)
+        for j in range(q):
+            if pace is None:
+                cells = [(j, col) for col in range(q)]
+            else:
+                cells = [(r, (j + pace * r) % q) for r in range(q)]
+            rows.append([token] + [str(r * q + col + 1) for r, col in cells])
+    return rows
 
 
 def build_two_symmetric(n: int) -> Deck:
@@ -138,56 +133,39 @@ def build_two_symmetric(n: int) -> Deck:
     return normalize(rows)
 
 
-def build_blocks(n: int, blocks: Sequence[str | int], with_pivot: bool = False) -> Deck:
+def build_blocks(n: int, blocks: Sequence[str | int]) -> Deck:
     """Assemble a deck from direction blocks over the (n-1) x (n-1) symbol grid.
 
-    Grid symbol at row r, column col is ``r*q + col`` (0-based internally,
-    rendered 1-based); block symbols come after all grid symbols, in block
-    order.  Each card lists its block symbol first, then its grid symbols by
-    grid row, which keeps exotic pace subsets renderable and deterministic.
+    ``blocks`` holds ``ROWS``, ``COLUMNS`` and paces ``1 .. n-2``, at least
+    two and none twice.  With the columns as pace 0, the deck is built
+    exactly when every two paces differ by a unit modulo n-1, which is
+    exactly when it is valid; see ``_block_rows`` for the layout.
     """
     if n < 3:
         raise ValueError("grid construction needs order >= 3")
-    q = n - 1
-    layout = GridBlockSpec(side=q, blocks=tuple(blocks), with_pivot=with_pivot)
-    block_tokens = [str(q * q + i + 1) for i in range(len(layout.blocks))]
-    rows: list[list[str]] = []
-    for b_index, block in enumerate(layout.blocks):
-        for j in range(q):
-            if block == ROWS:
-                cells = [(j, col) for col in range(q)]
-            elif block == COLUMNS:
-                cells = [(r, j) for r in range(q)]
-            else:
-                cells = [(r, (j + block * r) % q) for r in range(q)]
-            rows.append([block_tokens[b_index]] + [str(r * q + col + 1) for r, col in cells])
-    if with_pivot:
-        rows.append(list(block_tokens))
-    return normalize(rows)
+    return normalize(_block_rows(n - 1, tuple(blocks)))
 
 
-def build_grid_blocks(n: int, k: int, with_pivot: bool = False) -> Deck:
+def build_grid_blocks(n: int, k: int) -> Deck:
     """The first ``k`` blocks: rows, columns, then paces 1 .. k-2.
 
-    Gives ``q*k`` cards over ``q*q + k`` symbols (one more card with the
-    pivot); grid symbols end up with multiplicity k and block symbols with q.
+    Gives ``q*k`` cards over ``q*q + k`` symbols; grid symbols end up with
+    multiplicity k and block symbols with q.
     """
     if n < 3:
         raise ValueError("grid construction needs order >= 3")
     q = n - 1
     if not 2 <= k <= q + 1:
         raise ValueError(f"block count must be in 2..{q + 1}")
-    block_list: list[str | int] = [ROWS, COLUMNS]
-    block_list.extend(range(1, k - 1))
-    return build_blocks(n, block_list, with_pivot=with_pivot)
+    return build_blocks(n, [ROWS, COLUMNS, *range(1, k - 1)])
 
 
 def build_paired(n: int) -> Deck:
-    """The full grid deck: all ``n`` blocks plus the pivot card.
+    """The full grid deck: all ``n`` blocks plus the pivot card of the block symbols.
 
     Every pair of symbols shares a card and the card count equals the symbol
-    count (n*n - n + 1).  Only available when n-1 is prime: every pace
-    1 .. n-2 must be a unit modulo n-1.
+    count (n*n - n + 1).  Only available when q = n-1 is prime: the paces
+    0 .. q-1 differ pairwise by units exactly then.
     """
     if n < 3:
         raise ValueError("paired construction needs order >= 3")
@@ -195,7 +173,10 @@ def build_paired(n: int) -> Deck:
         raise UnsupportedConstructionError(
             f"paired construction needs n-1 prime; {n - 1} is not prime"
         )
-    return build_grid_blocks(n, n, with_pivot=True)
+    q = n - 1
+    rows = _block_rows(q, [ROWS, COLUMNS, *range(1, q)])
+    rows.append([str(q * q + i + 1) for i in range(n)])
+    return normalize(rows)
 
 
 def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:

@@ -124,6 +124,17 @@ class TestAnalyzeCommand:
         assert all(data["identities"].values())
         assert data["multiplicities"]["5"] == 3
 
+    def test_two_multiplicity_text(self, fano_minus_one_file, capsys):
+        assert main(["analyze", fano_minus_one_file]) == 0
+        assert capsys.readouterr().out == (
+            "deck: n=3 c=6 l=7\n"
+            "multiplicities: lo=2 hi=3\n"
+            "histogram: 2x3 3x4\n"
+            "identities: 15/15 hold\n"
+            "classification: not symmetric, not paired, not maximal, length equal to fundamental 7\n"
+            "two-multiplicity split: 1 low + 2 high per card\n"
+        )
+
     def test_invalid_deck_exits_1(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a b\nc d\n")
@@ -184,6 +195,28 @@ class TestExtendCommand:
         deck = parse_deck_text(captured.out)
         assert deck.card_count == 7
         assert "added 1 card(s); maximal: yes" in captured.err
+
+    def test_json_restores_fano(self, fano_minus_one_file, capsys):
+        assert main(["extend", fano_minus_one_file, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # the six input cards, then the removed card 5 1 2
+        assert json.loads(captured.out) == {
+            "added": 1,
+            "card_count": 7,
+            "cards": [
+                ["5", "3", "4"],
+                ["3", "6", "1"],
+                ["4", "6", "2"],
+                ["4", "1", "7"],
+                ["3", "2", "7"],
+                ["5", "6", "7"],
+                ["5", "1", "2"],
+            ],
+            "length": 7,
+            "maximal": True,
+            "order": 3,
+        }
 
     def test_zero_budget_flags_incomplete(self, fano_minus_one_file, capsys):
         assert main(["extend", fano_minus_one_file, "--steps", "0"]) == 1
@@ -272,6 +305,27 @@ class TestSpotCommand:
         out = capsys.readouterr().out
         assert "is on" in out
         assert "exactly one chosen card" in out
+
+    def test_json_with_n_plus_one_cards(self, tmp_path, capsys):
+        from spotdeck.constructions import build_paired
+
+        path = tmp_path / "dobble.txt"
+        path.write_text(render_deck_text(build_paired(8)))
+        assert main(["spot", str(path), "--cards", "0,1,2,3,4,5,6,7,8", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # the seven rows share their block symbol; card 0 alone holds grid symbol 3
+        assert data == {
+            "single_cards": [0],
+            "single_symbol": "3",
+            "triple_cards": [0, 1, 2, 3, 4, 5, 6],
+            "triple_symbol": "50",
+        }
+
+    def test_non_integer_card_index_exits_2(self, fano_file, capsys):
+        assert main(["spot", fano_file, "--cards", "0,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cards wants a comma-separated list of card indices\n"
 
     def test_wrong_count_exits_2(self, fano_file, capsys):
         assert main(["spot", fano_file, "--cards", "0,1,2"]) == 2

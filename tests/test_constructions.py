@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 
+from bruteforce import deck_valid
 from sample_decks import PAIRED_4_TEXT, THREE_BLOCK_TEXT
 from spotdeck.analysis import classify, fundamental_number, multiplicities
 from spotdeck.constructions import (
@@ -128,10 +130,6 @@ class TestGridBlocks:
                 else:
                     assert int(deck.tokens[symbol]) <= q * q
 
-    def test_pivot_only_with_all_blocks(self):
-        with pytest.raises(ValueError):
-            build_grid_blocks(4, 3, with_pivot=True)
-
     def test_block_count_bounds(self):
         with pytest.raises(ValueError):
             build_grid_blocks(4, 1)
@@ -159,6 +157,13 @@ class TestExoticSlopes:
         deck = build_blocks(6, [ROWS, 1, 2])
         assert validate(deck).valid
 
+    @pytest.mark.parametrize("n, blocks", [(5, [ROWS, 2]), (7, [ROWS, 2, 3]), (7, [2, 3])])
+    def test_column_free_non_unit_paces_built(self, n, blocks):
+        # without the columns only pace differences matter, not the paces themselves
+        deck = build_blocks(n, blocks)
+        assert validate(deck).valid
+        assert deck.card_count == (n - 1) * len(blocks)
+
     def test_duplicate_blocks_rejected(self):
         with pytest.raises(ValueError):
             build_blocks(6, [ROWS, ROWS, 1])
@@ -166,6 +171,37 @@ class TestExoticSlopes:
     def test_at_least_two_blocks(self):
         with pytest.raises(ValueError):
             build_blocks(6, [ROWS])
+
+
+def _independent_block_cards(q, blocks):
+    """Grid cells by their geometric definition, each card tagged with its block."""
+    cards = []
+    for i, block in enumerate(blocks):
+        for j in range(q):
+            if block == ROWS:
+                cells = {(j, col) for col in range(q)}
+            elif block == COLUMNS:
+                cells = {(r, j) for r in range(q)}
+            else:
+                cells = {(r, (j + block * r) % q) for r in range(q)}
+            cards.append(cells | {("block", i)})
+    return cards
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_blocks_built_exactly_when_valid(q):
+    # every block subset of at least two: the construction and the axioms agree
+    every_block = [ROWS, COLUMNS, *range(1, q)]
+    for size in range(2, len(every_block) + 1):
+        for blocks in combinations(every_block, size):
+            valid = deck_valid(_independent_block_cards(q, blocks))
+            try:
+                deck = build_blocks(q + 1, blocks)
+            except UnsupportedConstructionError:
+                assert not valid, blocks
+            else:
+                assert valid, blocks
+                assert deck.card_count == q * size and deck.length == q * q + size
 
 
 class TestBuildPaired:

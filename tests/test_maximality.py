@@ -233,7 +233,9 @@ class TestIsMaximal:
                 # the sum proof against the unbounded search: no n symbols partition the cards
                 visited = run_transversals(deck)
                 assert all(len(chosen) < deck.order for chosen in visited)
-            assert verdict.exact == (verdict.extension is None)
+            # the verdict against the brute-force oracle: is there a size-n exact hitting set?
+            hitting = exact_hitting_sets(deck.cards, deck.length, deck.order)
+            assert verdict.exact == all(len(h) < deck.order for h in hitting)
 
 
 class TestComplete:

@@ -124,7 +124,12 @@ def test_maximality_chain(deck):
         # the sum proof against the unbounded search: no n symbols partition the cards
         visited = run_transversals(deck)
         assert all(len(chosen) < deck.order for chosen in visited)
-    assert verdict.exact == (verdict.extension is None)
+    if verdict.extension is not None:
+        # the witness is a card: n distinct existing symbols meeting every card once
+        chosen = set(verdict.extension)
+        assert len(chosen) == len(verdict.extension) == deck.order
+        assert chosen <= set(range(deck.length))
+        assert all(len(chosen & set(card)) == 1 for card in deck.cards)
 
 
 @settings(max_examples=25, deadline=None)
