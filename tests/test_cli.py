@@ -286,7 +286,7 @@ class TestNodeBudgetOption:
     def test_zero_budget_is_unlimited(self, command, capsys):
         assert main([command, "--n", "3", "--budget", "0", "--json"]) == 0
         # the whole order-3 search, not a truncated one
-        assert json.loads(capsys.readouterr().out)["nodes"] == 497
+        assert json.loads(capsys.readouterr().out)["nodes"] == 398
 
 
 class TestSpotCommand:
