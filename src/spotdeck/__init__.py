@@ -34,7 +34,6 @@ from .deck import (
     InvalidDeckError,
     InvariantViolation,
     MalformedCardError,
-    Star,
     ValidationResult,
     Violation,
     deck_from_cards,

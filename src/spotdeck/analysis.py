@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constructions import build_paired, build_two_symmetric, is_prime
-from .deck import Deck, DeckError, cross_check_failure, symbol_multiplicities
+from .deck import Deck, DeckError, cross_check_failure
 
 
 class UnsupportedDeckError(DeckError):
@@ -46,7 +46,7 @@ class MultiplicityTable:
 
 
 def multiplicities(deck: Deck) -> MultiplicityTable:
-    counts = tuple(symbol_multiplicities(deck))
+    counts = tuple(m.bit_count() for m in deck.stars)
     return MultiplicityTable(
         counts=counts,
         lo=min(counts),

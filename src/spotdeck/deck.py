@@ -134,11 +134,6 @@ def deck_from_cards(cards: Sequence[Sequence[int]]) -> Deck:
     return normalize([[str(s) for s in card] for card in cards])
 
 
-def symbol_multiplicities(deck: Deck) -> list[int]:
-    """How many cards each symbol sits on, indexed by dense id."""
-    return [m.bit_count() for m in deck.stars]
-
-
 @dataclass(frozen=True)
 class Violation:
     """One broken axiom with enough witness data to reproduce it."""
@@ -236,24 +231,12 @@ def cross_check_failure(deck: Deck, message: str) -> InvalidDeckError | Invarian
     )
 
 
-@dataclass(frozen=True)
-class Star:
-    """The cards containing one fixed symbol, in deck order."""
-
-    center: int
-    card_indices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.card_indices)
-
-
-def star(deck: Deck, symbol: int) -> Star:
+def star(deck: Deck, symbol: int) -> tuple[int, ...]:
+    """The indices of the cards carrying ``symbol``, in deck order."""
     if not 0 <= symbol < deck.length:
         raise ValueError(f"symbol id {symbol} out of range for deck length {deck.length}")
     mask = deck.stars[symbol]
-    members = tuple(i for i in range(deck.card_count) if mask >> i & 1)
-    return Star(center=symbol, card_indices=members)
+    return tuple(i for i in range(deck.card_count) if mask >> i & 1)
 
 
 def partition_by_card(deck: Deck, card_index: int) -> list[tuple[int, ...]]:
@@ -267,5 +250,5 @@ def partition_by_card(deck: Deck, card_index: int) -> list[tuple[int, ...]]:
         raise ValueError(f"card index {card_index} out of range")
     packs = []
     for s in deck.cards[card_index]:
-        packs.append(tuple(i for i in star(deck, s).card_indices if i != card_index))
+        packs.append(tuple(i for i in star(deck, s) if i != card_index))
     return packs

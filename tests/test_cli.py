@@ -101,7 +101,9 @@ class TestVerifyCommand:
     def test_json_output(self, fano_file, capsys):
         code = main(["verify", fano_file, "--json"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["valid"] is True
         assert data["violations"] == []
 
@@ -118,7 +120,9 @@ class TestAnalyzeCommand:
 
     def test_fano_json(self, fano_file, capsys):
         assert main(["analyze", fano_file, "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["classification"]["paired"] is True
         assert data["classification"]["fundamental"] == 7
         assert all(data["identities"].values())
@@ -164,7 +168,9 @@ class TestBuildCommand:
 
     def test_json_build(self, capsys):
         assert main(["build", "paired", "--n", "3", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["card_count"] == 7
 
 
@@ -183,7 +189,9 @@ class TestMaximalCommand:
 
     def test_json_verdict(self, fano_minus_one_file, capsys):
         assert main(["maximal", fano_minus_one_file, "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["maximal"] is False
         assert set(data["extension"]) == {"5", "1", "2"}
 
@@ -238,7 +246,9 @@ class TestEnumerateCommand:
 
     def test_order_3_json(self, capsys):
         assert main(["enumerate", "--n", "3", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["complete"] is True
         assert [c["card_count"] for c in data["classes"]] == [4, 6, 7]
 
@@ -255,7 +265,9 @@ class TestProbeLengthCommand:
 
     def test_json(self, capsys):
         assert main(["probe-length", "--n", "2", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["verdict"] == "exhausted"
         assert data["witness"] is None
 
@@ -270,7 +282,9 @@ class TestCensusCommand:
 
     def test_json(self, capsys):
         assert main(["census", "--n", "2", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert data["classes"][0]["paired"] is True
         assert data["collisions"] == []
 
@@ -312,7 +326,9 @@ class TestSpotCommand:
         path = tmp_path / "dobble.txt"
         path.write_text(render_deck_text(build_paired(8)))
         assert main(["spot", str(path), "--cards", "0,1,2,3,4,5,6,7,8", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         # the seven rows share their block symbol; card 0 alone holds grid symbol 3
         assert data == {
             "single_cards": [0],
@@ -336,19 +352,38 @@ class TestSpotCommand:
 
     def test_json(self, fano_file, capsys):
         assert main(["spot", fano_file, "--cards", "0,1,2,3,4", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
         assert len(data["cards"]) >= 3
 
 
-def test_internal_error_exits_3_without_traceback(fano_file, monkeypatch, capsys):
-    def broken(deck):
+def test_internal_error_exits_3_without_traceback(fano_file, tmp_path, monkeypatch, capsys):
+    def broken(*args):
         raise InvariantViolation("cross-check failed")
 
-    monkeypatch.setattr("spotdeck.cli.is_maximal", broken)
-    assert main(["maximal", fano_file]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: cross-check failed\n"
+    paired_4 = tmp_path / "paired4.txt"
+    paired_4.write_text(PAIRED_4_TEXT)
+    # each command with the failure injected into the library call it makes
+    cases = [
+        ("is_maximal", ["maximal", fano_file]),
+        ("complete", ["extend", fano_file]),
+        ("classify", ["analyze", fano_file]),
+        ("validate", ["verify", fano_file]),
+        ("enumerate_decks", ["enumerate", "--n", "2"]),
+        ("census", ["census", "--n", "2"]),
+        ("probe_length_conjecture", ["probe-length", "--n", "2"]),
+        ("find_common_triple", ["spot", str(paired_4), "--cards", "0,1,2,3,4"]),
+        ("build_paired", ["build", "paired", "--n", "3"]),
+    ]
+    for name, argv in cases:
+        for mode in ([], ["--json"]):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"spotdeck.cli.{name}", broken)
+                assert main([*argv, *mode]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "internal error: cross-check failed\n"
 
 
 class TestUsageErrors:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import pairwise_violations
 from sample_decks import FANO_ROWS, PAIRED_4_TEXT, THREE_BLOCK_ROWS, TWO_SYM_3_ROWS
+from spotdeck.analysis import multiplicities
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, is_prime, max_blocks
 from spotdeck.deck import (
     InvalidDeckError,
@@ -17,7 +18,6 @@ from spotdeck.deck import (
     normalize,
     partition_by_card,
     star,
-    symbol_multiplicities,
     validate,
 )
 from spotdeck.formats import parse_deck_text
@@ -212,9 +212,9 @@ def assert_stars_match_sets(deck):
     assert len(deck.cards) == len(deck.rows)
     assert deck.stars == tuple(sum(1 << i for i in cards) for cards in members)
     assert deck.aligned == tuple(sum(1 << t for t in others) for others in partners)
-    assert symbol_multiplicities(deck) == [len(cards) for cards in members]
+    assert multiplicities(deck).counts == tuple(len(cards) for cards in members)
     for s, cards in enumerate(members):
-        assert star(deck, s).card_indices == tuple(sorted(cards))
+        assert star(deck, s) == tuple(sorted(cards))
 
 
 def assert_cheap_axioms_match_validate(deck):
@@ -284,7 +284,7 @@ class TestAlignment:
 
     def test_no_symbol_on_all_cards(self, fano, three_block, two_sym_3):
         for deck in (fano, three_block, two_sym_3):
-            counts = symbol_multiplicities(deck)
+            counts = multiplicities(deck).counts
             assert all(m < deck.card_count for m in counts)
 
 
@@ -292,14 +292,14 @@ class TestStar:
     def test_fano_star_of_5(self, fano):
         # token "5" got dense id 0
         result = star(fano, 0)
-        assert result.card_indices == (0, 1, 6)
-        assert result.size == 3
+        assert result == (0, 1, 6)
+        assert len(result) == 3
 
     def test_star_symbol_count_identity(self, fano, three_block):
         for deck in (fano, three_block):
             n = deck.order
             for s in range(deck.length):
-                members = star(deck, s).card_indices
+                members = star(deck, s)
                 seen = set()
                 for i in members:
                     seen.update(deck.cards[i])
@@ -308,7 +308,7 @@ class TestStar:
     def test_every_star_has_two_cards(self, fano, two_sym_3):
         for deck in (fano, two_sym_3):
             for s in range(deck.length):
-                assert star(deck, s).size >= 2
+                assert len(star(deck, s)) >= 2
 
     def test_out_of_range_symbol(self, fano):
         with pytest.raises(ValueError):
@@ -340,7 +340,7 @@ class TestPartition:
             assert sizes == [2, 2, 2, 2, 2, 2, 5]
 
     def test_pack_size_is_multiplicity_minus_one(self, fano):
-        counts = symbol_multiplicities(fano)
+        counts = multiplicities(fano).counts
         for pivot in range(fano.card_count):
             packs = partition_by_card(fano, pivot)
             for s, pack in zip(fano.cards[pivot], packs):
