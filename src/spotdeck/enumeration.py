@@ -50,12 +50,15 @@ class CanonicalForm:
 def canonical_form(deck: Deck) -> CanonicalForm:
     """Minimize the sorted card list over all symbol relabelings.
 
+    The census's canonicity proof runs the same search; this one has no
+    node budget and does not stop at the first smaller form.
+
     Raises ``InvalidDeckError`` when the cards differ in size (D4): the
     search pads every card to the first card's size.
     """
     if any(len(card) != deck.order for card in deck.cards):
         raise InvalidDeckError("the deck breaks D4: its cards differ in size")
-    return CanonicalForm(cards=_minimal_form(deck.order, deck.cards, deck.stars))
+    return CanonicalForm(cards=_minimal_form(deck.order, deck.cards, deck.stars, _Budget(None)))
 
 
 class _OutOfBudget(Exception):
@@ -134,12 +137,12 @@ def _minimal_form(
     n: int,
     cards: Sequence[tuple[int, ...]],
     stars: Sequence[int],
+    budget: _Budget,
     stop_below_seed: bool = False,
-    budget: _Budget | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Branch-and-bound over which old symbol receives each successive new id.
 
-    The deck comes as its cards, symbol id tuples, and its stars:
+    The deck comes as its cards, sorted symbol id tuples, and its stars:
     ``stars[s]`` is the bitmask of the cards carrying symbol ``s``, and the
     deck's length is the number of stars.  The bound pads every partially
     relabeled card with the smallest ids it could still receive; assigned ids
@@ -147,47 +150,41 @@ def _minimal_form(
     lower bound of its completion and a branch whose padded sorted list is
     above the incumbent is dead.
 
-    Branches whose bound equals the incumbent stay alive, so leaves equal to
-    it are reached.  Two labelings giving the same form differ by an
-    automorphism of the deck, which is recorded as a generator.  A node's
-    children are images of each other under every generator that fixes the
-    node's assigned symbols pointwise, with identical subtrees and bounds, so
-    only one child per orbit of those generators is searched (McKay &
-    Piperno, "Practical graph isomorphism, II").  When the incumbent's
-    labeling is a leaf searched earlier, the new automorphism also maps the
-    rest of the current branch, from where the two labelings part, onto a
-    branch already searched, so the search jumps back to that node.  The
-    minimum is unchanged.  The swaps of ``_known_automorphisms`` are known
-    before any leaf and seed the generators.  Valid decks have none; the
-    partial decks of the census are full of them.
+    The incumbent starts as the sorted card list under the identity
+    labeling, which the search has not walked.  Branches whose bound equals
+    the incumbent stay alive, so leaves equal to it are reached.  Two
+    labelings giving the same form differ by an automorphism of the deck,
+    which is recorded as a generator.  A node's children are images of each
+    other under every generator that fixes the node's assigned symbols
+    pointwise, with identical subtrees and bounds, so only one child per
+    orbit of those generators is searched (McKay & Piperno, "Practical graph
+    isomorphism, II").  The first leaf tied with the unwalked incumbent
+    gives it its labeling and does not jump back.  Every later tied leaf
+    jumps back to the node where its labeling parts from the incumbent's:
+    the new automorphism fixes that node's assigned symbols and maps its
+    current child onto the child searched before, so the rest of the
+    current child's subtree holds nothing new and the minimum is unchanged.
+    The swaps of ``_known_automorphisms`` are known before any leaf and
+    seed the generators.  Valid decks have none; the partial decks of the
+    census are full of them.
 
-    With ``stop_below_seed`` the incumbent starts as the deck's own card
-    list under the identity labeling, and the first strictly smaller
-    complete form ends the search: its leaf becomes the incumbent and
-    returns -1, which every level above passes on as a jump back past the
-    root.  The result is then below the seed exactly when the deck is not
-    its own canonical form, which is much cheaper to settle than full
-    canonicalization.  The identity labeling has not been searched, so the
-    first leaf equal to the seed gives its labeling to the incumbent and
-    does not jump back; every later one jumps back from it as above.  That
-    is sound here too: the branch searched before the parting held no
-    smaller form, or the search would have ended there, so neither does
-    its image.
+    With ``stop_below_seed`` the first strictly smaller leaf ends the
+    search: it becomes the incumbent and returns -1, which every level
+    above passes on as a jump back past the root.  The result is then below
+    the sorted card list exactly when the deck is not its own canonical
+    form, which is much cheaper to settle than full canonicalization.
 
-    Each search node spends one unit of ``budget``, if given; when it runs
-    out the search raises ``_OutOfBudget``.
+    Each search node spends one unit of ``budget``; when it runs out the
+    search raises ``_OutOfBudget``.
     """
     length = len(stars)
     # each star as a list of card indices: the loops below walk them, which is
     # faster than walking the bits
     carriers = [[i for i in range(len(cards)) if m >> i & 1] for m in stars]
-    best: list[tuple[int, ...]] | None = None
+    best = sorted(cards)
     # best_path[i] is the old symbol that receives id i in the incumbent
-    best_path: list[int] = []
+    best_path = list(range(length))
     searched = False  # whether best_path is the path of a leaf searched so far
-    if stop_below_seed:
-        best = sorted(tuple(sorted(card)) for card in cards)
-        best_path = list(range(length))
     # automorphisms found so far, each with the bitmask of the symbols it moves
     generators = _known_automorphisms(cards, stars)
     path: list[int] = []
@@ -200,11 +197,10 @@ def _minimal_form(
     def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
         """Search below the node at depth ``k``; return the depth to resume at."""
         nonlocal best, best_path, searched
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if k == length:
             form = sorted(partials)  # by D4 every card has all its n ids here
-            if best is None or form < best:
+            if form < best:
                 best, best_path, searched = form, list(path), True
                 if stop_below_seed:
                     return -1
@@ -239,7 +235,7 @@ def _minimal_form(
         known = 0  # generators already sorted into `stabilizer` or out of it
         done = 0  # orbit closure of the children searched so far
         for child_bound, s in ranked:
-            if best is not None and child_bound > best:
+            if child_bound > best:
                 break  # ranked ascending, the rest cannot reach the best either
             if known < len(generators):
                 stabilizer += [perm for perm, moved in generators[known:] if not moved & fixed]
@@ -259,21 +255,18 @@ def _minimal_form(
         return k
 
     search(0, [()] * len(cards), list(range(length)), 0)
-    assert best is not None
     return tuple(best)
 
 
 def _is_self_canonical(
-    n: int, cards: Sequence[tuple[int, ...]], stars: Sequence[int], budget: _Budget | None = None
+    n: int, cards: Sequence[tuple[int, ...]], stars: Sequence[int], budget: _Budget
 ) -> bool:
-    """True when the card list equals its own canonical form.
+    """True when the sorted card list equals its own canonical form.
 
-    Seeds the incumbent with the list itself: every branch above it dies
-    immediately, and the first smaller form ends the search.  Raises
-    ``_OutOfBudget`` when ``budget`` runs out first.
+    The first smaller form ends the search.  Raises ``_OutOfBudget`` when
+    ``budget`` runs out first.
     """
-    seed = tuple(sorted(tuple(sorted(card)) for card in cards))
-    return _minimal_form(n, cards, stars, stop_below_seed=True, budget=budget) == seed
+    return _minimal_form(n, cards, stars, budget, stop_below_seed=True) == tuple(sorted(cards))
 
 
 @dataclass(frozen=True)

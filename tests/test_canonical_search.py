@@ -23,6 +23,11 @@ from test_enumeration import permuted
 RELABELINGS = 5
 # private symbols on cards through two different hubs, 0 and 7
 HUB_DECK = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (7, 8, 9), (7, 10, 11)]
+# the order-5 class with six cards, any two sharing a symbol of their own: its
+# canonicity proof is full of leaves tied with the seed
+ORDER_FIVE_SIX_CARDS = [
+    (0, 1, 2, 3, 4), (0, 5, 6, 7, 8), (1, 5, 9, 10, 11), (2, 6, 9, 12, 13), (3, 7, 10, 12, 14), (4, 8, 11, 13, 14)
+]
 
 
 def oracle_form(deck):
@@ -42,7 +47,8 @@ def assert_pruned_search_agrees(deck, expected):
     """Canonical form and seeded canonicity verdict of ``deck`` both follow from ``expected``."""
     assert canonical_form(deck).cards == expected
     cards = sorted(deck.cards)
-    assert enumeration._is_self_canonical(deck.order, cards, card_stars(cards)) == (tuple(cards) == expected)
+    verdict = enumeration._is_self_canonical(deck.order, cards, card_stars(cards), enumeration._Budget(None))
+    assert verdict == (tuple(cards) == expected)
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +114,9 @@ def test_partial_states_match_oracle():
         build_two_symmetric(5),
         build_grid_blocks(4, 3),
         remove_cards(build_grid_blocks(4, 3), [0]),
+        normalize(ORDER_FIVE_SIX_CARDS),
     ],
-    ids=["paired4", "two_symmetric5", "grid4x3", "grid4x3_minus_card"],
+    ids=["paired4", "two_symmetric5", "grid4x3", "grid4x3_minus_card", "order5_six_cards"],
 )
 def test_symmetric_constructions_match_oracle(deck):
     expected = oracle_form(deck)
@@ -117,6 +124,36 @@ def test_symmetric_constructions_match_oracle(deck):
     assert_pruned_search_agrees(normalize(expected), expected)
     for seed in range(RELABELINGS):
         assert_pruned_search_agrees(permuted(deck, seed), expected)
+
+
+@pytest.mark.parametrize(
+    "deck, as_built, canonical",
+    [
+        (build_paired(4), 143, 141),
+        (build_two_symmetric(5), 96, 96),
+        (build_grid_blocks(4, 3), 86, 86),
+        (remove_cards(build_grid_blocks(4, 3), [0]), 208, 217),
+    ],
+    ids=["paired4", "two_symmetric5", "grid4x3", "grid4x3_minus_card"],
+)
+def test_canonical_form_search_nodes(deck, as_built, canonical):
+    """Search nodes of ``canonical_form`` on the decks the benchmark canonicalizes.
+
+    The benchmark removes a random card from the grid deck; this removes
+    card 0.  The forms are checked against the oracle above; a change in
+    where the incumbent starts, in the pruning or in the jump back shows
+    here as a change in the count.
+    """
+
+    def nodes(deck):
+        budget = enumeration._Budget(None)
+        form = enumeration._minimal_form(deck.order, deck.cards, deck.stars, budget)
+        assert canonical_form(deck).cards == form
+        return budget.used, form
+
+    used, form = nodes(deck)
+    assert used == as_built
+    assert nodes(normalize(form)) == (canonical, form)
 
 
 def test_order_four_canonicity_verdicts_match_oracle(order_four_run):
