@@ -1,9 +1,10 @@
 """Multiplicity statistics, arithmetic identity checks, and deck classification.
 
 Every identity or bound computed here is a proved consequence of the deck
-axioms, so on a valid deck every check must come out true; a failure means a
-bug in the core, which is why equivalent characterizations are always
-computed redundantly and compared.
+axioms, so each function that relies on them passes the deck through the
+gate ``require_valid`` before it answers.  On a valid deck every check must
+come out true, and equivalent characterizations are computed redundantly and
+compared; a disagreement is a bug in this package (``InvariantViolation``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constructions import build_paired, build_two_symmetric, is_prime
-from .deck import Deck, DeckError, cross_check_failure
+from .deck import Deck, DeckError, InvariantViolation, require_valid
 
 
 class UnsupportedDeckError(DeckError):
@@ -26,13 +27,6 @@ def fundamental_number(n: int) -> int:
     if n < 2:
         raise ValueError("order must be at least 2")
     return n * n - n + 1
-
-
-def _deck_fundamental(deck: Deck) -> int:
-    """The fundamental number of the deck's order; a first card of one symbol breaks D3."""
-    if deck.order < 2:
-        raise cross_check_failure(deck, "the first card has fewer than two symbols")
-    return fundamental_number(deck.order)
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,13 @@ def check_identities(deck: Deck) -> IdentityReport:
     """Evaluate every multiplicity identity and bound on a valid deck.
 
     All arithmetic is integer-exact; the mean inequality cn/l <= (c+n-1)/n is
-    checked as cn*n <= l*(c+n-1).  A deck whose first card has fewer than
-    two symbols raises ``InvalidDeckError``.
+    checked as cn*n <= l*(c+n-1).  An invalid deck raises ``InvalidDeckError``.
     """
+    require_valid(deck)
     table = multiplicities(deck)
     counts, lo, hi = table.counts, table.lo, table.hi
     n, c, length = deck.order, deck.card_count, deck.length
-    delta = _deck_fundamental(deck)
+    delta = fundamental_number(n)
     full = (1 << length) - 1
 
     card_sums = tuple(sum(counts[s] for s in card) for card in deck.cards)
@@ -190,23 +184,23 @@ def classify(deck: Deck) -> Classification:
 
     Symmetry is decided three ways (all multiplicities equal; c*n = l*hi;
     c = n*(hi-1)+1) and pairedness two ways (every symbol pair aligned;
-    c*C(n,2) = C(l,2)); any disagreement raises ``InvariantViolation``, or
-    ``InvalidDeckError`` when the deck turns out to break an axiom.  When
-    exactly two multiplicities occur, the per-card split is derived from the
-    closed formulas and re-counted on every card.
+    c*C(n,2) = C(l,2)).  When exactly two multiplicities occur, the per-card
+    split is derived from the closed formulas and re-counted on every card.
+    An invalid deck raises ``InvalidDeckError``; any disagreement on a valid
+    one raises ``InvariantViolation``.
     """
+    require_valid(deck)
     table = multiplicities(deck)
     counts, lo, hi = table.counts, table.lo, table.hi
     n, c, length = deck.order, deck.card_count, deck.length
-    delta = _deck_fundamental(deck)
+    delta = fundamental_number(n)
     full = (1 << length) - 1
 
     sym_all_equal = lo == hi
     sym_sum = c * n == length * hi
     sym_count = c == n * (hi - 1) + 1
     if not sym_all_equal == sym_sum == sym_count:
-        raise cross_check_failure(
-            deck,
+        raise InvariantViolation(
             f"symmetry tests disagree: all-equal={sym_all_equal}, "
             f"cn=l*hi is {sym_sum}, c=n(hi-1)+1 is {sym_count}"
         )
@@ -214,8 +208,7 @@ def classify(deck: Deck) -> Classification:
     paired_aligned = all(deck.aligned[s] == full for s in range(length))
     paired_count = c * math.comb(n, 2) == math.comb(length, 2)
     if paired_aligned != paired_count:
-        raise cross_check_failure(
-            deck,
+        raise InvariantViolation(
             f"paired tests disagree: all-pairs-aligned={paired_aligned}, "
             f"pair count identity={paired_count}"
         )
@@ -226,15 +219,14 @@ def classify(deck: Deck) -> Classification:
         low_numer = hi * n - c - n + 1
         high_numer = c + n - 1 - lo * n
         if low_numer % gap or high_numer % gap:
-            raise cross_check_failure(deck, "two-multiplicity split formulas are not integral")
+            raise InvariantViolation("two-multiplicity split formulas are not integral")
         n_low, n_high = low_numer // gap, high_numer // gap
         if n_low < 0 or n_high < 0 or n_low + n_high != n:
-            raise cross_check_failure(deck, f"two-multiplicity split ({n_low}, {n_high}) is not a split of n")
+            raise InvariantViolation(f"two-multiplicity split ({n_low}, {n_high}) is not a split of n")
         for index, card in enumerate(deck.cards):
             direct = sum(1 for s in card if counts[s] == lo)
             if direct != n_low:
-                raise cross_check_failure(
-                    deck,
+                raise InvariantViolation(
                     f"card {index} carries {direct} minimum-multiplicity symbols, formula says {n_low}"
                 )
         split = (n_low, n_high)
@@ -259,7 +251,9 @@ def classify(deck: Deck) -> Classification:
 def check_kn2_lemma(deck: Deck, card_indices: list[int] | tuple[int, ...], k: int) -> int:
     """Given k*n+2 cards of a valid deck, return a symbol on at least k+2 of them.
 
-    Such a symbol always exists; ties break to the smallest id.
+    Such a symbol always exists; ties break to the smallest id.  Bad
+    arguments raise ``ValueError``; then an invalid deck raises
+    ``InvalidDeckError``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -271,12 +265,13 @@ def check_kn2_lemma(deck: Deck, card_indices: list[int] | tuple[int, ...], k: in
     expected = k * deck.order + 2
     if len(idx) != expected:
         raise ValueError(f"need exactly k*n+2 = {expected} cards, got {len(idx)}")
+    require_valid(deck)
     chosen = sum(1 << i for i in idx)
     hits = [(m & chosen).bit_count() for m in deck.stars]
     for s, h in enumerate(hits):
         if h >= k + 2:
             return s
-    raise cross_check_failure(deck, "no symbol lies on k+2 of the chosen cards of a valid deck")
+    raise InvariantViolation("no symbol lies on k+2 of the chosen cards of a valid deck")
 
 
 def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) -> tuple[int, int]:
@@ -284,6 +279,8 @@ def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) ->
 
     Needs order at least 4 and a deck that is not all-multiplicity-2 (for
     smaller orders the guarantee genuinely fails).  Smallest ids win ties.
+    Unsupported decks and bad arguments raise ``UnsupportedDeckError`` and
+    ``ValueError``; then an invalid deck raises ``InvalidDeckError``.
     """
     n = deck.order
     if n < 4:
@@ -296,12 +293,13 @@ def find_common_triple(deck: Deck, card_indices: list[int] | tuple[int, ...]) ->
         raise ValueError(f"need exactly n+1 = {n + 1} distinct cards, got {len(set(idx))}")
     if any(not 0 <= i < deck.card_count for i in idx):
         raise ValueError("card index out of range")
+    require_valid(deck)
     chosen = sum(1 << i for i in set(idx))
     hits = [(m & chosen).bit_count() for m in deck.stars]
     triple = next((s for s, h in enumerate(hits) if h >= 3), None)
     single = next((s for s, h in enumerate(hits) if h == 1), None)
     if triple is None or single is None:
-        raise cross_check_failure(deck, "guaranteed witnesses missing on a valid deck")
+        raise InvariantViolation("guaranteed witnesses missing on a valid deck")
     return triple, single
 
 

@@ -7,10 +7,10 @@ this package; one ``internal error: ...`` line on stderr, no traceback).
 Results go to stdout, diagnostics to stderr.  With ``--json`` every result
 is one JSON document on stdout, with stable key order, and stderr stays
 empty.  Errors are text in both modes: one ``error: ...`` or ``internal
-error: ...`` line on stderr, or, for an invalid input deck to ``analyze``,
-``maximal``, ``extend`` or ``spot``, the violation report
-(``invalid: N violation(s)`` on stdout, one line per violation on stderr),
-which the benchmark's answer check pins.
+error: ...`` line on stderr, or, for an invalid input deck, the violation
+report (``invalid: N violation(s)`` on stdout, one line per violation on
+stderr), which the benchmark's answer check pins; :func:`main` prints it
+from the ``InvalidDeckError`` that the library's validity gate raises.
 
 Each ``cmd_*`` handler computes its result and returns the exit code and two
 functions: one builds the JSON payload, the other the text lines.  ``extend``
@@ -33,7 +33,7 @@ from .analysis import (
     multiplicities,
 )
 from .constructions import build_grid_blocks, build_paired, build_two_symmetric
-from .deck import Deck, DeckError, InvariantViolation, validate
+from .deck import Deck, DeckError, InvalidDeckError, InvariantViolation, require_valid, validate
 from .enumeration import census, enumerate_decks, probe_length_conjecture
 from .formats import deck_payload, parse_deck_text, render_deck_text, to_json
 from .maximality import complete, is_maximal
@@ -44,14 +44,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_NODE_BUDGET = 250_000
-
-
-class _InvalidDeck(Exception):
-    """An input deck breaks an axiom; :func:`main` reports its violations."""
-
-    def __init__(self, violations) -> None:
-        super().__init__(violations)
-        self.violations = violations
 
 
 def _load(path: str) -> Deck:
@@ -65,11 +57,9 @@ def _budget(value: int) -> int | None:
 
 
 def _load_valid(path: str) -> Deck:
-    """The deck in the file; raises ``_InvalidDeck`` if it breaks an axiom."""
+    """The deck in the file; raises ``InvalidDeckError`` if it breaks an axiom."""
     deck = _load(path)
-    result = validate(deck)
-    if not result.valid:
-        raise _InvalidDeck(result.violations)
+    require_valid(deck)
     return deck
 
 
@@ -78,8 +68,7 @@ def cmd_verify(args: argparse.Namespace):
     result = validate(deck)
 
     def text():
-        if not result.valid:
-            raise _InvalidDeck(result.violations)
+        require_valid(deck)
         yield f"valid: n={deck.order} c={deck.card_count} l={deck.length}"
 
     return EXIT_OK if result.valid else EXIT_FAIL, lambda: {
@@ -417,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.writelines(line + "\n" for line in text())
             sys.stderr.writelines(line + "\n" for line in status)
         return code
-    except _InvalidDeck as exc:
+    except InvalidDeckError as exc:
         print(f"invalid: {len(exc.violations)} violation(s)")
         sys.stderr.writelines(f"{v.axiom}: {v.message}\n" for v in exc.violations)
         return EXIT_FAIL

@@ -16,7 +16,7 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from .deck import Deck, DeckError, cross_check_failure, normalize, validate
+from .deck import Deck, DeckError, InvariantViolation, normalize, require_valid, validate
 
 ROWS = "rows"
 COLUMNS = "columns"
@@ -180,14 +180,16 @@ def build_paired(n: int) -> Deck:
 
 
 def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
-    """Drop the given cards, renormalize, and re-validate.
+    """Drop the given cards from a valid deck, renormalize, and re-validate.
 
-    Symbols no longer on any card disappear and the length shrinks; a symbol
-    left on exactly one card breaks axiom D2 and aborts the removal with the
+    An invalid input deck raises ``InvalidDeckError`` first.  Symbols no
+    longer on any card disappear and the length shrinks; a symbol left on
+    exactly one card breaks axiom D2 and aborts the removal with the
     offending symbols as witnesses.  Removing cards from a valid deck can
-    break no other axiom, so any other violation of the remaining deck means
-    the input was invalid and raises ``InvalidDeckError``.
+    break no other axiom, so any other violation is a bug and raises
+    ``InvariantViolation``.
     """
+    require_valid(deck)
     chosen = set(indices)
     if not chosen:
         raise ValueError("nothing to remove")
@@ -203,7 +205,7 @@ def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
             trimmed.tokens[v.symbols[0]] for v in result.violations if v.axiom == "D2"
         )
         if not isolated:
-            raise cross_check_failure(deck, "removing cards from a valid deck broke an axiom other than D2")
+            raise InvariantViolation("removing cards from a valid deck broke an axiom other than D2")
         raise RemovalInvalidError(
             "removal leaves symbols on a single card: " + ", ".join(isolated), isolated
         )

@@ -11,11 +11,16 @@ partition queries all read the stars from there.  The one-shared-symbol
 axiom holds for a card exactly when the stars of its symbols cover every
 other card once, so checking a deck of c cards and order n takes c*n mask
 operations rather than a pass over all c*(c-1)/2 card pairs.
+
+Validity is decided once per deck: :func:`validate` keeps its result on the
+immutable deck, and :func:`require_valid`, the gate at the entry of every
+function whose answer the axioms guarantee, raises ``InvalidDeckError``
+with the violations.  After the gate a failed cross-check is a bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -29,7 +34,15 @@ class MalformedCardError(DeckError):
 
 
 class InvalidDeckError(DeckError):
-    """A function that needs a valid deck was given one that breaks an axiom."""
+    """A function that needs a valid deck was given one that breaks an axiom.
+
+    ``violations`` holds what :func:`validate` reports, when the gate
+    :func:`require_valid` raised the error.
+    """
+
+    def __init__(self, message: str, violations: tuple[Violation, ...] = ()):
+        super().__init__(message)
+        self.violations = violations
 
 
 class InvariantViolation(RuntimeError):
@@ -59,6 +72,10 @@ class Deck:
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     stars: tuple[int, ...]
+    # filled by validate() on its first call; a field rather than a
+    # cached_property, whose write into the instance dict would slow every
+    # later attribute read (deck_payload reads deck.tokens c*n times)
+    _validation: ValidationResult | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def card_count(self) -> int:
@@ -157,7 +174,26 @@ def validate(deck: Deck) -> ValidationResult:
     D1: any two cards share exactly one symbol.  D2: every symbol is on at
     least two cards.  D3: every card has at least two symbols.  D4: all cards
     have the same size.  D5: at least one symbol exists.  A single-card deck
-    is always rejected because D2 cannot hold on it.
+    is always rejected because D2 cannot hold on it.  The check runs once per
+    deck: the deck is immutable, so later calls return the kept result.
+    """
+    if deck._validation is None:
+        object.__setattr__(deck, "_validation", _check_axioms(deck))
+    return deck._validation
+
+
+def require_valid(deck: Deck) -> None:
+    """Raise ``InvalidDeckError``, carrying the violations, unless ``deck`` is valid."""
+    violations = validate(deck).violations
+    if violations:
+        raise InvalidDeckError(
+            f"the deck is invalid: {len(violations)} violation(s), first: {violations[0].message}",
+            violations,
+        )
+
+
+def _check_axioms(deck: Deck) -> ValidationResult:
+    """The axiom check behind :func:`validate`, run once per deck.
 
     D1 is checked by star cover rather than pair by pair.  For each card the
     stars of its symbols are folded into the cards it meets at least once and
@@ -214,21 +250,6 @@ def validate(deck: Deck) -> ValidationResult:
                 Violation("D2", f"symbol {deck.tokens[s]!r} appears on {m} card(s)", symbols=(s,), count=m)
             )
     return ValidationResult(valid=not violations, violations=tuple(violations))
-
-
-def cross_check_failure(deck: Deck, message: str) -> InvalidDeckError | InvariantViolation:
-    """The error to raise when a cross-check proved for valid decks fails on ``deck``.
-
-    The deck is validated here, on the failure path only, so valid decks pay
-    nothing: an invalid deck gives ``InvalidDeckError`` and a valid one
-    ``InvariantViolation`` carrying ``message``.
-    """
-    result = validate(deck)
-    if result.valid:
-        return InvariantViolation(message)
-    return InvalidDeckError(
-        f"the deck is invalid: {len(result.violations)} violation(s), first: {result.violations[0].message}"
-    )
 
 
 def star(deck: Deck, symbol: int) -> tuple[int, ...]:

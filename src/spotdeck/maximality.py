@@ -10,9 +10,9 @@ is maximal without a search.  Only on the other decks does one exact-cover
 search, the generator ``_transversals``, yield such sets of symbols: it
 finds extension cards here and generates the next cards of the census in
 :mod:`spotdeck.enumeration`.  An extension card is a plain tuple of dense
-symbol ids.  ``find_extension`` is the one place that checks the cheap
-axioms D2-D4 before any search, and ``_with_card`` the one place that
-re-validates a deck with an extension card added.
+symbol ids.  The tests are proved for valid decks: ``find_extension``,
+which ``is_maximal`` and ``complete`` call first, passes its deck through
+the gate ``require_valid``, and after it a failed cross-check is a bug.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .analysis import multiplicities
-from .deck import Deck, cross_check_failure, normalize, validate
+from .deck import Deck, InvariantViolation, normalize, require_valid, validate
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,14 @@ def find_extension(deck: Deck) -> tuple[int, ...] | None:
     """Search for a card of n existing symbols meeting every card exactly once.
 
     Returns the card's symbol ids in the order the search chose them, or
-    ``None`` when no extension card exists.  A deck that breaks D2, D3 or D4
-    raises ``InvalidDeckError`` first.  The stars of an extension card
+    ``None`` when no extension card exists.  An invalid deck raises
+    ``InvalidDeckError`` first.  The stars of an extension card
     partition the deck, so its multiplicities sum to the card count: a deck
     that passes the subset-sum test has none, and the search runs only on
     the decks that fail it.  There the first set of n symbols that
     ``_transversals`` yields is returned, so the witness is deterministic.
     """
-    _require_cheap_axioms(deck)
+    require_valid(deck)
     if prop_condition_holds(deck):
         return None
     n = deck.order
@@ -127,33 +127,17 @@ def find_extension(deck: Deck) -> tuple[int, ...] | None:
 
 
 def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
-    """``deck`` plus the card of ``symbols``, re-validated as a cross-check.
+    """``deck``, a valid deck, plus the card of ``symbols``, re-validated as a cross-check.
 
-    An extension card keeps a valid deck valid, so an invalid result means
-    the input deck was invalid (``InvalidDeckError``) or a bug
-    (``InvariantViolation``).
+    An extension card keeps a valid deck valid, so an invalid result is a
+    bug and raises ``InvariantViolation``.
     """
     rows = [deck.card_tokens(i) for i in range(deck.card_count)]
     rows.append(tuple(deck.tokens[s] for s in sorted(symbols)))
     extended = normalize(rows)
     if not validate(extended).valid:
-        raise cross_check_failure(deck, "extension card does not yield a valid deck")
+        raise InvariantViolation("extension card does not yield a valid deck")
     return extended
-
-
-def _require_cheap_axioms(deck: Deck) -> None:
-    """Raise ``InvalidDeckError`` unless D3, D4 and D2 hold.
-
-    D3 and D4 are a check of the card sizes; D2 holds when no star has a
-    single card bit (``m & (m - 1)`` clears the lowest one).  The maximality
-    tests are proved for valid decks only.  D1 is left to the cross-check in
-    ``_with_card``: a full ``validate`` here would check it a second time for
-    callers such as ``analyze`` that have validated the deck.
-    """
-    n = deck.order
-    if n >= 2 and all(len(card) == n for card in deck.cards) and all(m & (m - 1) for m in deck.stars):
-        return
-    raise cross_check_failure(deck, "a deck that breaks D2, D3 or D4 passed validation")
 
 
 def is_maximal(deck: Deck) -> MaximalityVerdict:
@@ -162,18 +146,16 @@ def is_maximal(deck: Deck) -> MaximalityVerdict:
     sufficient condition => subset-sum condition => no extension exists.
     ``find_extension`` runs the exact search only when the subset-sum test
     fails, so that test decides the last link; the tests check it against
-    the unbounded search.  A min-sum pass with a subset-sum failure, or an
-    extension that fails re-validation, raises ``InvariantViolation``, or
-    ``InvalidDeckError`` when the input deck breaks an axiom.  A deck with
-    a wrong card size or a symbol on one card is rejected by
-    ``find_extension`` before any search; one that breaks only D1 is
-    rejected when a cross-check fails, and may otherwise get a verdict.
+    the unbounded search.  An invalid deck raises ``InvalidDeckError`` in
+    ``find_extension`` before any test runs; on a valid deck a min-sum pass
+    with a subset-sum failure, or an extension that fails re-validation,
+    raises ``InvariantViolation``.
     """
     extension = find_extension(deck)
     sufficient = sufficient_maximal(deck)
     prop_holds = prop_condition_holds(deck)
     if sufficient and not prop_holds:
-        raise cross_check_failure(deck, "min-sum test passed but some n multiplicities sum to c")
+        raise InvariantViolation("min-sum test passed but some n multiplicities sum to c")
     if extension is not None:
         _with_card(deck, extension)
     return MaximalityVerdict(sufficient_corollary=sufficient, prop_condition=prop_holds, extension=extension)
@@ -194,11 +176,11 @@ def complete(deck: Deck, max_steps: int | None = None) -> CompletionResult:
     """Add extension cards until the deck is maximal or the step budget runs out.
 
     ``added`` holds the symbol ids of each added card.  Every intermediate
-    deck is re-validated; a budget stop returns the partial deck flagged
-    non-maximal when an extension is still pending.  An input deck that breaks D2, D3 or D4 raises
-    ``InvalidDeckError`` at the first ``find_extension`` call, also when
-    ``max_steps`` is 0, and one that breaks D1 once the first extended deck
-    fails validation.  A negative ``max_steps`` raises ``ValueError``.
+    deck is re-validated as a cross-check; a budget stop returns the partial
+    deck flagged non-maximal when an extension is still pending.  An invalid
+    input deck raises ``InvalidDeckError`` at the first ``find_extension``
+    call, also when ``max_steps`` is 0.  A negative ``max_steps`` raises
+    ``ValueError``.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must not be negative")

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import spotdeck.deck
 from sample_decks import FANO_TEXT, PAIRED_4_TEXT, THREE_BLOCK_TEXT
 from spotdeck.cli import main
+from spotdeck.constructions import build_paired
 from spotdeck.deck import InvariantViolation, MalformedCardError, normalize
 from spotdeck.formats import deck_payload, parse_deck_text, render_deck_text, to_json
 
@@ -127,6 +129,23 @@ class TestAnalyzeCommand:
         assert data["classification"]["fundamental"] == 7
         assert all(data["identities"].values())
         assert data["multiplicities"]["5"] == 3
+
+    def test_axioms_are_checked_once(self, tmp_path, monkeypatch, capsys):
+        # the gates in check_identities, classify and find_extension reuse the
+        # result of the check made when the file is loaded
+        path = tmp_path / "paired8.txt"
+        path.write_text(render_deck_text(build_paired(8)))
+        checker = spotdeck.deck._check_axioms
+        calls = []
+
+        def counted(deck):
+            calls.append(deck)
+            return checker(deck)
+
+        monkeypatch.setattr(spotdeck.deck, "_check_axioms", counted)
+        assert main(["analyze", str(path)]) == 0
+        assert "maximal" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_two_multiplicity_text(self, fano_minus_one_file, capsys):
         assert main(["analyze", fano_minus_one_file]) == 0

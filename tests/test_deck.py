@@ -17,11 +17,11 @@ from spotdeck.deck import (
     MalformedCardError,
     normalize,
     partition_by_card,
+    require_valid,
     star,
     validate,
 )
 from spotdeck.formats import parse_deck_text
-from spotdeck.maximality import _require_cheap_axioms
 
 
 class TestNormalize:
@@ -217,14 +217,15 @@ def assert_stars_match_sets(deck):
         assert star(deck, s) == tuple(sorted(cards))
 
 
-def assert_cheap_axioms_match_validate(deck):
-    """``_require_cheap_axioms`` raises exactly when ``validate`` reports D2, D3 or D4."""
-    broken = {v.axiom for v in validate(deck).violations} & {"D2", "D3", "D4"}
-    if broken:
-        with pytest.raises(InvalidDeckError):
-            _require_cheap_axioms(deck)
+def assert_gate_matches_validate(deck):
+    """``require_valid`` raises exactly when ``validate`` reports a violation, and carries them all."""
+    violations = validate(deck).violations
+    if violations:
+        with pytest.raises(InvalidDeckError) as err:
+            require_valid(deck)
+        assert err.value.violations == violations
     else:
-        _require_cheap_axioms(deck)
+        require_valid(deck)
 
 
 class TestStars:
@@ -234,21 +235,25 @@ class TestStars:
         variants = (deck, corrupted(deck, deck.card_count // 2), with_duplicate(deck, 0))
         for variant in variants:
             assert_stars_match_sets(variant)
-            assert_cheap_axioms_match_validate(variant)
+            assert_gate_matches_validate(variant)
 
     @settings(max_examples=300, deadline=None)
     @given(random_decks())
     def test_random_decks(self, deck):
         assert_stars_match_sets(deck)
-        assert_cheap_axioms_match_validate(deck)
+        assert_gate_matches_validate(deck)
 
-    def test_cheap_axioms_cases(self):
-        # D2 (a single card), D3 (one-symbol cards), D4 (mixed sizes) raise;
-        # a deck that breaks only D1 passes
-        for rows in ([["a", "b"]], [["a"], ["a"]], [["a", "b"], ["a", "b", "c"], ["b", "c"]]):
+    def test_gate_cases(self):
+        # D2 (a single card), D3 (one-symbol cards), D4 (mixed sizes) and D1
+        # (two cards sharing both symbols) each raise
+        for rows in (
+            [["a", "b"]],
+            [["a"], ["a"]],
+            [["a", "b"], ["a", "b", "c"], ["b", "c"]],
+            [["a", "b"], ["a", "b"]],
+        ):
             with pytest.raises(InvalidDeckError):
-                _require_cheap_axioms(normalize(rows))
-        _require_cheap_axioms(normalize([["a", "b"], ["a", "b"]]))
+                require_valid(normalize(rows))
 
 
 def test_validate_at_scale():

@@ -1,9 +1,9 @@
-"""Invalid decks give ``InvalidDeckError``, never ``InvariantViolation``.
+"""Invalid decks give ``InvalidDeckError``, never an answer or ``InvariantViolation``.
 
-The cross-checks in ``classify``, ``is_maximal``, ``complete`` and the spot
-helpers are proved for valid decks only.  When one fails, the deck is
-validated and an invalid one is reported as bad input; ``InvariantViolation``
-stays reserved for bugs in this package.
+Every function whose answer the axioms guarantee passes its deck through the
+gate ``require_valid`` before it answers, so an invalid deck is reported as
+bad input, with its violations; ``InvariantViolation`` stays reserved for
+bugs in this package.
 """
 
 from __future__ import annotations
@@ -13,16 +13,12 @@ from collections import Counter
 
 import pytest
 
+from sample_decks import PAIRED_4_TEXT
 from spotdeck.analysis import check_identities, check_kn2_lemma, classify, find_common_triple
-from spotdeck.deck import (
-    DeckError,
-    InvalidDeckError,
-    InvariantViolation,
-    cross_check_failure,
-    normalize,
-    validate,
-)
+from spotdeck.constructions import remove_cards
+from spotdeck.deck import DeckError, InvalidDeckError, InvariantViolation, normalize, validate
 from spotdeck.enumeration import canonical_form
+from spotdeck.formats import parse_deck_text
 from spotdeck.maximality import complete, find_extension, is_maximal
 
 DISJOINT = [["a", "b"], ["c", "d"]]
@@ -34,10 +30,19 @@ def complete_no_steps(deck):
     return complete(deck, 0)
 
 
-@pytest.mark.parametrize("check", [classify, is_maximal, complete])
+def remove_first_card(deck):
+    return remove_cards(deck, [0])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_identities, classify, find_extension, is_maximal, complete, complete_no_steps, remove_first_card],
+)
 def test_disjoint_pair(check):
-    with pytest.raises(InvalidDeckError, match="cards 0 and 1 share 0 symbols"):
-        check(normalize(DISJOINT))
+    deck = normalize(DISJOINT)
+    with pytest.raises(InvalidDeckError, match="cards 0 and 1 share 0 symbols") as err:
+        check(deck)
+    assert err.value.violations == validate(deck).violations
 
 
 @pytest.mark.parametrize("check", [is_maximal, complete, complete_no_steps, find_extension])
@@ -86,14 +91,30 @@ def test_invalid_deck_error_is_a_deck_error():
     assert not issubclass(InvalidDeckError, InvariantViolation)
 
 
-def test_failed_cross_check_on_a_valid_deck_is_a_bug(fano):
-    error = cross_check_failure(fano, "two proofs disagree")
-    assert type(error) is InvariantViolation
-    assert str(error) == "two proofs disagree"
+def test_spot_helpers_check_their_arguments_then_the_deck():
+    # paired(4) with one token of its last card replaced: D1 and D2 break
+    paired_4 = parse_deck_text(PAIRED_4_TEXT)
+    rows = [list(paired_4.card_tokens(i)) for i in range(paired_4.card_count)]
+    rows[-1][0] = "fresh"
+    deck = normalize(rows)
+    for check in (
+        lambda: check_kn2_lemma(deck, range(6), 1),
+        lambda: find_common_triple(deck, range(5)),
+    ):
+        with pytest.raises(InvalidDeckError) as err:
+            check()
+        assert err.value.violations == validate(deck).violations
+    with pytest.raises(ValueError, match=r"k\*n\+2"):
+        check_kn2_lemma(deck, range(5), 1)
+    with pytest.raises(ValueError, match=r"n\+1"):
+        find_common_triple(deck, range(4))
 
 
 def test_fuzzed_decks_never_raise_invariant_violation():
-    """About 500 seeded random decks, almost all invalid, through every entry point."""
+    """About 500 seeded random decks, almost all invalid, through every entry point.
+
+    No entry point answers on an invalid deck or raises ``InvariantViolation``.
+    """
     rng = random.Random(2024)
     outcomes: Counter = Counter()
     for _ in range(500):
@@ -104,15 +125,16 @@ def test_fuzzed_decks_never_raise_invariant_violation():
             for _ in range(rng.randint(1, 8))
         ]
         deck = normalize(rows)
-        broken = {violation.axiom for violation in validate(deck).violations}
-        valid = not broken
+        valid = validate(deck).valid
         n, c = deck.order, deck.card_count
         checks = {
+            "check_identities": lambda: check_identities(deck),
             "classify": lambda: classify(deck),
             "is_maximal": lambda: is_maximal(deck),
             "complete": lambda: complete(deck),
             "complete_no_steps": lambda: complete_no_steps(deck),
             "find_extension": lambda: find_extension(deck),
+            "remove_cards": lambda: remove_first_card(deck),
         }
         if c >= n + 2:
             checks["kn2"] = lambda: check_kn2_lemma(deck, list(range(n + 2)), 1)
@@ -125,12 +147,11 @@ def test_fuzzed_decks_never_raise_invariant_violation():
                 assert not valid, (name, rows)
                 outcomes[name] += 1
             except (DeckError, ValueError):
-                pass  # documented rejections of the arguments, such as order < 2
+                pass  # documented rejections of the arguments, such as order < 4 for the triple
             else:
-                if name in ("is_maximal", "complete", "complete_no_steps", "find_extension"):
-                    # the cheap checks before the search leave only D1 to the cross-checks
-                    assert broken <= {"D1"}, (name, rows, broken)
-    # the fuzz reaches the failure path of every entry point
+                assert valid, (name, rows)
+    # the fuzz reaches the gate of every entry point
     assert set(outcomes) == {
-        "classify", "is_maximal", "complete", "complete_no_steps", "find_extension", "kn2", "triple"
+        "check_identities", "classify", "is_maximal", "complete", "complete_no_steps",
+        "find_extension", "remove_cards", "kn2", "triple",
     }
