@@ -17,11 +17,17 @@ functions: one builds the JSON payload, the other the text lines.  ``extend``
 adds the status line it writes to stderr in text mode.  :func:`main` alone
 picks the mode, calls one of the two and writes, so JSON mode renders no
 deck text and text mode builds no payload.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call; nothing is built at import.  It holds
+the ``cmd_*`` handlers themselves, so a handler patched after that first
+call is not the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import (
@@ -325,7 +331,9 @@ def cmd_spot(args: argparse.Namespace):
     raise ValueError(f"lay out either n+1 = {n + 1} cards or k*n+2 cards (k >= 1); got {laid_out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree of every command, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="spotdeck",
         description="Verify, analyze, construct, and enumerate matching-card decks.",

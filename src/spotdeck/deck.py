@@ -21,7 +21,6 @@ with the violations.  After the gate a failed cross-check is a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 
@@ -76,24 +75,31 @@ class Deck:
     # cached_property, whose write into the instance dict would slow every
     # later attribute read (deck_payload reads deck.tokens c*n times)
     _validation: ValidationResult | None = field(default=None, init=False, repr=False, compare=False)
+    # filled by the aligned property on its first read; set by __init__, so
+    # filling it replaces a value instead of adding an attribute
+    _aligned: tuple[int, ...] | None = field(
+        default_factory=lambda: None, init=False, repr=False, compare=False
+    )
 
     @property
     def card_count(self) -> int:
         return len(self.cards)
 
-    @cached_property
+    @property
     def aligned(self) -> tuple[int, ...]:
         """``aligned[s]``: the bitmask of symbols sharing a card with ``s``, ``s`` included.
 
         Built from the cards on first read, since only the classification
         and the identity checks need it.
         """
-        aligned = [0] * self.length
-        for card in self.cards:
-            mask = sum(1 << s for s in card)
-            for s in card:
-                aligned[s] |= mask
-        return tuple(aligned)
+        if self._aligned is None:
+            aligned = [0] * self.length
+            for card in self.cards:
+                mask = sum(1 << s for s in card)
+                for s in card:
+                    aligned[s] |= mask
+            object.__setattr__(self, "_aligned", tuple(aligned))
+        return self._aligned
 
     def card_tokens(self, index: int) -> tuple[str, ...]:
         """Tokens of one card, in original input order."""

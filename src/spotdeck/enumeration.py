@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import classify, fundamental_number, multiplicities
-from .deck import Deck, InvalidDeckError, deck_from_cards
+from .deck import Deck, InvalidDeckError, deck_from_cards, validate
 from .maximality import _transversals, is_maximal
 
 
@@ -53,11 +53,14 @@ def canonical_form(deck: Deck) -> CanonicalForm:
     The census's canonicity proof runs the same search; this one has no
     node budget and does not stop at the first smaller form.
 
-    Raises ``InvalidDeckError`` when the cards differ in size (D4): the
-    search pads every card to the first card's size.
+    Raises ``InvalidDeckError``, carrying the D4 violations that
+    :func:`validate` reports, when the cards differ in size: the search pads
+    every card to the first card's size.  No other axiom is required, so
+    partial decks are accepted.
     """
     if any(len(card) != deck.order for card in deck.cards):
-        raise InvalidDeckError("the deck breaks D4: its cards differ in size")
+        violations = tuple(v for v in validate(deck).violations if v.axiom == "D4")
+        raise InvalidDeckError("the deck breaks D4: its cards differ in size", violations)
     return CanonicalForm(cards=_minimal_form(deck.order, deck.cards, deck.stars, _Budget(None)))
 
 
@@ -148,7 +151,10 @@ def _minimal_form(
     relabeled card with the smallest ids it could still receive; assigned ids
     always sit below pending ones, so each padded card is an elementwise
     lower bound of its completion and a branch whose padded sorted list is
-    above the incumbent is dead.
+    above the incumbent is dead.  A node at depth k pads its partial cards
+    twice, once with ids from k and once with ids from k + 1; the bound of
+    the child giving id k to symbol s takes the cards of s's star from the
+    first padding and every other card from the second.
 
     The incumbent starts as the sorted card list under the identity
     labeling, which the search has not walked.  Branches whose bound equals
@@ -218,16 +224,15 @@ def _minimal_form(
                     return parting
                 best_path, searched = list(path), True
             return k
-        # a child's bound: the cards through its symbol take k, then every
-        # card is padded from k + 1
-        fills = filler[k + 1]
-        later = [part + fills[n - len(part)] for part in partials]
+        # a child's bound: the cards through its symbol take k and are padded
+        # from k + 1 (`gained`), every other card is padded from k + 1 (`later`)
+        later = [part + filler[k + 1][n - len(part)] for part in partials]
+        gained = [part + filler[k][n - len(part)] for part in partials]
         ranked = []
         for s in free:
             bound = list(later)
             for index in carriers[s]:
-                part = partials[index]
-                bound[index] = part + (k,) + fills[n - len(part) - 1]
+                bound[index] = gained[index]
             bound.sort()
             ranked.append((bound, s))
         ranked.sort()

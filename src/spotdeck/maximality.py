@@ -17,11 +17,11 @@ the gate ``require_valid``, and after it a failed cross-check is a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .analysis import multiplicities
-from .deck import Deck, InvariantViolation, normalize, require_valid, validate
+from .deck import Deck, InvariantViolation, require_valid, validate
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,19 @@ def find_extension(deck: Deck) -> tuple[int, ...] | None:
 def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
     """``deck``, a valid deck, plus the card of ``symbols``, re-validated as a cross-check.
 
-    An extension card keeps a valid deck valid, so an invalid result is a
-    bug and raises ``InvariantViolation``.
+    An extension card uses existing symbols only, so the parent's tokens,
+    order and length carry over: the sorted card is appended to ``cards``
+    and ``rows`` and its symbols' stars gain the new card's bit, which is
+    the deck ``normalize`` builds from the parent's token rows plus the new
+    row.  An extension card keeps a valid deck valid, so an invalid result
+    is a bug and raises ``InvariantViolation``.
     """
-    rows = [deck.card_tokens(i) for i in range(deck.card_count)]
-    rows.append(tuple(deck.tokens[s] for s in sorted(symbols)))
-    extended = normalize(rows)
+    card = tuple(sorted(symbols))
+    bit = 1 << deck.card_count
+    stars = list(deck.stars)
+    for s in card:
+        stars[s] |= bit
+    extended = replace(deck, cards=deck.cards + (card,), rows=deck.rows + (card,), stars=tuple(stars))
     if not validate(extended).valid:
         raise InvariantViolation("extension card does not yield a valid deck")
     return extended

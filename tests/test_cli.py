@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 import spotdeck.deck
 from sample_decks import FANO_TEXT, PAIRED_4_TEXT, THREE_BLOCK_TEXT
-from spotdeck.cli import main
-from spotdeck.constructions import build_paired
+from spotdeck.cli import build_parser, main
+from spotdeck.constructions import build_paired, remove_cards
 from spotdeck.deck import InvariantViolation, MalformedCardError, normalize
 from spotdeck.formats import deck_payload, parse_deck_text, render_deck_text, to_json
 
@@ -411,3 +412,51 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process.
+
+    The cached parser holds the ``cmd_*`` handlers themselves, so a test that
+    patched a handler after the first call would not see its patch run; the
+    tests patch the library names the handlers call instead.
+    """
+
+    def test_parser_is_built_on_the_first_call_only(self, fano_file, monkeypatch):
+        built = 0
+        construct = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            construct(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["verify", fano_file]) == 0
+        assert built > 0
+        first = built
+        assert main(["verify", fano_file]) == 0
+        assert built == first
+
+    def test_repeated_calls_match_first_calls(self, tmp_path, capsys):
+        trimmed = tmp_path / "trimmed.txt"
+        trimmed.write_text(render_deck_text(remove_cards(build_paired(4), [0, 1])))
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for earlier, later in [
+            (["census", "--n", "3", "--cmax", "4"], ["census", "--n", "3"]),
+            (["extend", str(trimmed), "--steps", "1"], ["extend", str(trimmed)]),
+        ]:
+            alone = []
+            for argv in (earlier, later):
+                build_parser.cache_clear()
+                alone.append(run(argv))
+            # the two commands differ, so a leaked option would show
+            assert alone[0] != alone[1]
+            build_parser.cache_clear()
+            assert [run(earlier), run(later)] == alone

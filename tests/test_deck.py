@@ -55,10 +55,19 @@ class TestNormalize:
             assert sum(1 << s for s in card) == sum(1 << s for s, m in enumerate(fano.stars) if m >> i & 1)
 
     def test_alignment_is_built_on_first_read(self, fano):
-        assert "aligned" not in vars(fano)
+        # kept in a field that __init__ sets: the first read replaces its value
+        # and adds no instance attribute
+        keys = list(vars(fano))
+        assert fano._aligned is None
         aligned = fano.aligned
-        assert vars(fano)["aligned"] is aligned
+        assert list(vars(fano)) == keys
+        assert fano._aligned is aligned
         assert fano.aligned is aligned
+        partners = [set() for _ in range(fano.length)]
+        for card in fano.cards:
+            for s in card:
+                partners[s].update(card)
+        assert aligned == tuple(sum(1 << t for t in others) for others in partners)
 
     def test_integer_tokens_coerced_to_strings(self):
         deck = normalize([[1, 2], [1, 3], [2, 3]])

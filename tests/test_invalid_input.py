@@ -76,8 +76,11 @@ def test_degenerate_decks(check, rows, message):
 @pytest.mark.parametrize("rows", [[[0, 1, 2], [1, 3]], [[1, 2], [0, 1, 2]]])
 def test_canonical_form_needs_one_card_size(rows):
     # the search pads every card to the first card's size, which would invent symbols
-    with pytest.raises(InvalidDeckError, match="D4"):
+    with pytest.raises(InvalidDeckError, match="D4") as caught:
         canonical_form(normalize(rows))
+    # the CLI reports these, so an empty tuple would read "invalid: 0 violation(s)"
+    assert caught.value.violations
+    assert {v.axiom for v in caught.value.violations} == {"D4"}
 
 
 def test_kn2_lemma_on_disjoint_cards():

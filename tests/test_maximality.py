@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from bruteforce import exact_hitting_sets
+from spotdeck import maximality
 from spotdeck.analysis import multiplicities
 from spotdeck.constructions import (
     RemovalInvalidError,
@@ -274,6 +275,26 @@ class TestComplete:
         assert result.steps == 2
         assert validate(result.deck).valid
         assert canonical_form(result.deck) == canonical_form(full)
+
+    def test_appended_card_matches_renormalizing(self, monkeypatch):
+        # _with_card appends the card to the parent deck; normalize builds the
+        # same deck from the parent's token rows plus the new row
+        with_card = maximality._with_card
+        steps = 0
+
+        def checked(deck, symbols):
+            nonlocal steps
+            extended = with_card(deck, symbols)
+            rows = [deck.card_tokens(i) for i in range(deck.card_count)]
+            rows.append(tuple(deck.tokens[s] for s in sorted(symbols)))
+            assert extended == normalize(rows)
+            steps += 1
+            return extended
+
+        monkeypatch.setattr(maximality, "_with_card", checked)
+        for deck in trimmed_decks():
+            assert complete(deck).maximal
+        assert steps >= 100
 
 
 class TestNecessityQuestion:
