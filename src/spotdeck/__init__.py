@@ -6,6 +6,7 @@ from .analysis import (
     IdentityReport,
     MultiplicityTable,
     PairedExistence,
+    UnsupportedDeckError,
     bruck_ryser_excluded,
     check_identities,
     check_kn2_lemma,
@@ -36,7 +37,6 @@ from .deck import (
     MalformedCardError,
     ValidationResult,
     Violation,
-    deck_from_cards,
     normalize,
     partition_by_card,
     star,

@@ -114,23 +114,14 @@ def build_two_symmetric(n: int) -> Deck:
     """A deck of ``n + 1`` cards in which every symbol sits on exactly 2 cards.
 
     One symbol per unordered pair of cards; card ``i`` holds the symbols of
-    all pairs containing ``i``.  Order n, length n*(n+1)/2.
+    all pairs containing ``i``.  Order n, length n*(n+1)/2.  Pair ``(i, j)``
+    is named by its 1-based rank in lexicographic order, which is also the
+    order in which the cards first use the pairs.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    pair_id: dict[frozenset[int], int] = {}
-    rows: list[list[str]] = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if j == i:
-                continue
-            key = frozenset((i, j))
-            if key not in pair_id:
-                pair_id[key] = len(pair_id)
-            row.append(str(pair_id[key] + 1))
-        rows.append(row)
-    return normalize(rows)
+    name = {pair: k + 1 for k, pair in enumerate(combinations(range(n + 1), 2))}
+    return normalize([[name[min(i, j), max(i, j)] for j in range(n + 1) if j != i] for i in range(n + 1)])
 
 
 def build_blocks(n: int, blocks: Sequence[str | int]) -> Deck:

@@ -2,15 +2,17 @@
 
 A deck is a finite list of equal-size symbol sets ("cards") in which any two
 cards share exactly one symbol and every symbol sits on at least two cards.
-Symbols are stored as dense integer ids.  The deck keeps its incidence two
-ways, both built once by :func:`normalize`: each card as a sorted id tuple
-(``Deck.cards``), and each symbol's star, the bitmask of the cards carrying
-it (``Deck.stars``).  A symbol's multiplicity is the bit count of its star,
-and validation, the maximality tests, the canonical search and the star and
-partition queries all read the stars from there.  The one-shared-symbol
-axiom holds for a card exactly when the stars of its symbols cover every
-other card once, so checking a deck of c cards and order n takes c*n mask
-operations rather than a pass over all c*(c-1)/2 card pairs.
+Symbols are stored as dense integer ids.  A deck stores what
+:func:`normalize` reads from the input, the tokens and the rows of ids, and
+keeps its incidence two ways, both built once from the rows: each card as a
+sorted id tuple (``Deck.cards``), and each symbol's star, the bitmask of the
+cards carrying it (``Deck.stars``).  Every other deck fact, such as the
+order, the length or a symbol's multiplicity (the bit count of its star), is
+derived from these four.  Validation, the maximality tests, the canonical
+search and the star and partition queries all read the stars.  The
+one-shared-symbol axiom holds for a card exactly when the stars of its
+symbols cover every other card once, so checking a deck of c cards and order
+n takes c*n mask operations rather than a pass over all c*(c-1)/2 card pairs.
 
 Validity is decided once per deck: :func:`validate` keeps its result on the
 immutable deck, and :func:`require_valid`, the gate at the entry of every
@@ -35,11 +37,10 @@ class MalformedCardError(DeckError):
 class InvalidDeckError(DeckError):
     """A function that needs a valid deck was given one that breaks an axiom.
 
-    ``violations`` holds what :func:`validate` reports, when the gate
-    :func:`require_valid` raised the error.
+    ``violations`` holds the broken axioms, as :func:`validate` reports them.
     """
 
-    def __init__(self, message: str, violations: tuple[Violation, ...] = ()):
+    def __init__(self, message: str, violations: tuple[Violation, ...]):
         super().__init__(message)
         self.violations = violations
 
@@ -56,30 +57,38 @@ class InvariantViolation(RuntimeError):
 class Deck:
     """An ordered collection of cards over dense integer symbol ids.
 
-    ``cards[i]`` is card ``i`` as a sorted tuple of symbol ids and
-    ``stars[s]`` the bitmask of the cards carrying ``s`` (bit ``i`` for card
-    ``i``), whose bit count is the multiplicity of ``s``.  ``tokens`` maps
-    each dense id back to its original symbol token and ``rows`` keeps the
-    symbol order of the input, so rendering reproduces the source text
-    exactly.  ``order`` is the size of the first card; uniformity is an
+    Four fields are stored.  ``tokens`` maps each dense id back to its
+    original symbol token and ``rows`` keeps the symbol order of the input,
+    so rendering reproduces the source text exactly.  ``cards[i]`` is card
+    ``i`` as a sorted tuple of symbol ids and ``stars[s]`` the bitmask of the
+    cards carrying ``s`` (bit ``i`` for card ``i``), whose bit count is the
+    multiplicity of ``s``.  ``order``, ``length`` and ``card_count`` are
+    derived: ``order`` is the size of the first card, since uniformity is an
     axiom checked by :func:`validate`, not assumed here.
     """
 
     cards: tuple[tuple[int, ...], ...]
-    order: int
-    length: int
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     stars: tuple[int, ...]
-    # filled by validate() on its first call; a field rather than a
-    # cached_property, whose write into the instance dict would slow every
-    # later attribute read (deck_payload reads deck.tokens c*n times)
-    _validation: ValidationResult | None = field(default=None, init=False, repr=False, compare=False)
-    # filled by the aligned property on its first read; set by __init__, so
-    # filling it replaces a value instead of adding an attribute
+    # filled on first use by validate() and by the aligned property.  Both
+    # are set by __init__, so filling one replaces a value instead of adding
+    # a key to the instance dict, which would slow every later attribute
+    # read (deck_payload reads deck.tokens c*n times)
+    _validation: ValidationResult | None = field(
+        default_factory=lambda: None, init=False, repr=False, compare=False
+    )
     _aligned: tuple[int, ...] | None = field(
         default_factory=lambda: None, init=False, repr=False, compare=False
     )
+
+    @property
+    def order(self) -> int:
+        return len(self.cards[0])
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
 
     @property
     def card_count(self) -> int:
@@ -109,8 +118,9 @@ class Deck:
 def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
     """Map tokens to dense ids in first-occurrence order and build the deck.
 
-    Tokens are compared by their string form.  The rows, the sorted cards
-    and the stars are built but no axiom is checked; see :func:`validate`.
+    Tokens are compared by their string form.  A first pass maps each row to
+    ids, a second builds the stars from the rows; the sorted cards come from
+    the rows too.  No axiom is checked; see :func:`validate`.
 
     Raises ``MalformedCardError`` when a card repeats a token and
     ``ValueError`` on an empty deck or an empty card.
@@ -118,43 +128,27 @@ def normalize(raw_cards: Sequence[Sequence[object]]) -> Deck:
     if not raw_cards:
         raise ValueError("a deck needs at least one card")
     ids: dict[str, int] = {}
-    tokens: list[str] = []
     rows: list[tuple[int, ...]] = []
-    stars: list[int] = []
     for row_index, raw in enumerate(raw_cards):
         if not raw:
             raise ValueError(f"card {row_index} is empty")
-        bit = 1 << row_index
-        row: list[int] = []
-        seen: set[str] = set()
-        for item in raw:
-            token = str(item)
-            if token in seen:
-                raise MalformedCardError(f"card {row_index} repeats symbol {token!r}")
-            seen.add(token)
-            if token not in ids:
-                ids[token] = len(tokens)
-                tokens.append(token)
-                stars.append(0)
-            s = ids[token]
-            row.append(s)
-            stars[s] |= bit
+        row = [ids.setdefault(str(item), len(ids)) for item in raw]
+        if len(set(row)) < len(row):
+            first: dict[int, int] = {}
+            repeat = next(raw[i] for i, s in enumerate(row) if first.setdefault(s, i) != i)
+            raise MalformedCardError(f"card {row_index} repeats symbol {str(repeat)!r}")
         rows.append(tuple(row))
-
-    cards = tuple(tuple(sorted(row)) for row in rows)
+    stars = [0] * len(ids)
+    for row_index, row in enumerate(rows):
+        bit = 1 << row_index
+        for s in row:
+            stars[s] |= bit
     return Deck(
-        cards=cards,
-        order=len(cards[0]),
-        length=len(tokens),
-        tokens=tuple(tokens),
+        cards=tuple(tuple(sorted(row)) for row in rows),
+        tokens=tuple(ids),
         rows=tuple(rows),
         stars=tuple(stars),
     )
-
-
-def deck_from_cards(cards: Sequence[Sequence[int]]) -> Deck:
-    """Build a deck from integer cards, naming each symbol by its integer."""
-    return normalize([[str(s) for s in card] for card in cards])
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationResult:
-    valid: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def validate(deck: Deck) -> ValidationResult:
@@ -255,7 +252,7 @@ def _check_axioms(deck: Deck) -> ValidationResult:
             violations.append(
                 Violation("D2", f"symbol {deck.tokens[s]!r} appears on {m} card(s)", symbols=(s,), count=m)
             )
-    return ValidationResult(valid=not violations, violations=tuple(violations))
+    return ValidationResult(tuple(violations))
 
 
 def star(deck: Deck, symbol: int) -> tuple[int, ...]:

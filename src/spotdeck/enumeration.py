@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import classify, fundamental_number, multiplicities
-from .deck import Deck, InvalidDeckError, deck_from_cards, validate
+from .deck import Deck, InvalidDeckError, normalize, validate
 from .maximality import _transversals, is_maximal
 
 
@@ -44,7 +44,7 @@ class CanonicalForm:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def to_deck(self) -> Deck:
-        return deck_from_cards(self.cards)
+        return normalize(self.cards)
 
 
 def canonical_form(deck: Deck) -> CanonicalForm:

@@ -129,12 +129,12 @@ def find_extension(deck: Deck) -> tuple[int, ...] | None:
 def _with_card(deck: Deck, symbols: tuple[int, ...]) -> Deck:
     """``deck``, a valid deck, plus the card of ``symbols``, re-validated as a cross-check.
 
-    An extension card uses existing symbols only, so the parent's tokens,
-    order and length carry over: the sorted card is appended to ``cards``
-    and ``rows`` and its symbols' stars gain the new card's bit, which is
-    the deck ``normalize`` builds from the parent's token rows plus the new
-    row.  An extension card keeps a valid deck valid, so an invalid result
-    is a bug and raises ``InvariantViolation``.
+    An extension card uses existing symbols only, so the parent's tokens
+    carry over: the sorted card is appended to ``cards`` and ``rows`` and its
+    symbols' stars gain the new card's bit, which is the deck ``normalize``
+    builds from the parent's token rows plus the new row.  An extension card
+    keeps a valid deck valid, so an invalid result is a bug and raises
+    ``InvariantViolation``.
     """
     card = tuple(sorted(symbols))
     bit = 1 << deck.card_count

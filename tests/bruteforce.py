@@ -6,7 +6,9 @@ over normal-form card lists, and isomorphism classes are grouped by explicit
 bijection search.  The census golden files under ``tests/data`` are produced
 by this module (run it as a script) and the fast generator must agree with
 them exactly.  ``pairwise_violations`` is the card-pair-by-card-pair axiom
-check that ``validate`` must reproduce violation for violation.
+check that ``validate`` must reproduce violation for violation, and
+``reference_normalize`` the one-pass token scan that ``normalize`` must
+reproduce field for field and error for error.
 ``bnb_minimal_form`` and ``bnb_is_self_canonical`` are the lex-min
 branch-and-bound without automorphism pruning, which the package's pruned
 search must reproduce form for form and verdict for verdict.
@@ -43,6 +45,52 @@ def deck_valid(cards) -> bool:
         for symbol in s:
             counts[symbol] = counts.get(symbol, 0) + 1
     return all(value >= 2 for value in counts.values())
+
+
+def reference_normalize(raw_cards) -> dict:
+    """The deck fields ``normalize`` builds, from one scan that checks each token as it goes.
+
+    Returns ``cards``, ``order``, ``length``, ``tokens``, ``rows`` and
+    ``stars``; raises ``MalformedCardError`` or ``ValueError`` with the same
+    message as ``normalize``, at the same first bad card.
+    """
+    # imported here, so that running this module as a script needs no spotdeck
+    from spotdeck.deck import MalformedCardError
+
+    if not raw_cards:
+        raise ValueError("a deck needs at least one card")
+    ids: dict[str, int] = {}
+    tokens: list[str] = []
+    rows: list[tuple[int, ...]] = []
+    stars: list[int] = []
+    for row_index, raw in enumerate(raw_cards):
+        if not raw:
+            raise ValueError(f"card {row_index} is empty")
+        bit = 1 << row_index
+        row: list[int] = []
+        seen: set[str] = set()
+        for item in raw:
+            token = str(item)
+            if token in seen:
+                raise MalformedCardError(f"card {row_index} repeats symbol {token!r}")
+            seen.add(token)
+            if token not in ids:
+                ids[token] = len(tokens)
+                tokens.append(token)
+                stars.append(0)
+            s = ids[token]
+            row.append(s)
+            stars[s] |= bit
+        rows.append(tuple(row))
+    cards = tuple(tuple(sorted(row)) for row in rows)
+    return {
+        "cards": cards,
+        "order": len(cards[0]),
+        "length": len(tokens),
+        "tokens": tuple(tokens),
+        "rows": tuple(rows),
+        "stars": tuple(stars),
+    }
 
 
 def pairwise_violations(deck) -> tuple[tuple, ...]:

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import spotdeck
 from spotdeck.analysis import (
     ExistenceStatus,
     UnsupportedDeckError,
@@ -193,6 +194,11 @@ class TestCommonTriple:
     def test_order_3_unsupported(self, fano):
         with pytest.raises(UnsupportedDeckError):
             find_common_triple(fano, [0, 1, 2, 3])
+
+    def test_error_is_exported(self, fano):
+        with pytest.raises(spotdeck.UnsupportedDeckError) as caught:
+            find_common_triple(fano, [0, 1, 2, 3])
+        assert type(caught.value) is spotdeck.UnsupportedDeckError is UnsupportedDeckError
 
     def test_all_multiplicity_2_unsupported(self):
         deck = build_two_symmetric(5)

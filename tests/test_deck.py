@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import astuple
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import pairwise_violations
+from bruteforce import pairwise_violations, reference_normalize
 from sample_decks import FANO_ROWS, PAIRED_4_TEXT, THREE_BLOCK_ROWS, TWO_SYM_3_ROWS
 from spotdeck.analysis import multiplicities
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, is_prime, max_blocks
@@ -69,9 +71,42 @@ class TestNormalize:
                 partners[s].update(card)
         assert aligned == tuple(sum(1 << t for t in others) for others in partners)
 
+    def test_validation_is_kept_on_first_call(self, fano):
+        # like _aligned, _validation is set by __init__: validate replaces its value
+        keys = list(vars(fano))
+        result = validate(fano)
+        assert list(vars(fano)) == keys
+        assert validate(fano) is result
+
     def test_integer_tokens_coerced_to_strings(self):
         deck = normalize([[1, 2], [1, 3], [2, 3]])
         assert deck.tokens == ("1", "2", "3")
+
+    def test_matches_one_pass_reference(self):
+        # ints and strs that name one symbol (1 and "1"), so every repeat is
+        # such a pair, empty cards and empty decks: same fields, or the same
+        # error at the same card
+        rng = random.Random(18)
+        alphabet = [0, 1, 2, 3, "0", "1", "2", "a", "b"]
+        outcomes: Counter = Counter()
+        for _ in range(3000):
+            raw = [
+                [] if rng.random() < 0.05 else rng.sample(alphabet, rng.randint(1, 4))
+                for _ in range(0 if rng.random() < 0.05 else rng.randint(1, 7))
+            ]
+            try:
+                expected = reference_normalize(raw)
+            except (ValueError, MalformedCardError) as error:
+                with pytest.raises(type(error)) as caught:
+                    normalize(raw)
+                assert type(caught.value) is type(error) and str(caught.value) == str(error)
+                empty = "empty card" if "empty" in str(error) else "empty deck"
+                outcomes["repeat" if isinstance(error, MalformedCardError) else empty] += 1
+                continue
+            deck = normalize(raw)
+            assert {name: getattr(deck, name) for name in expected} == expected
+            outcomes["deck"] += 1
+        assert set(outcomes) == {"deck", "repeat", "empty card", "empty deck"}, outcomes
 
 
 class TestValidate:

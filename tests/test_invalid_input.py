@@ -129,6 +129,7 @@ def test_fuzzed_decks_never_raise_invariant_violation():
         ]
         deck = normalize(rows)
         valid = validate(deck).valid
+        assert valid == (not validate(deck).violations)
         n, c = deck.order, deck.card_count
         checks = {
             "check_identities": lambda: check_identities(deck),
