@@ -199,13 +199,19 @@ def _check_axioms(deck: Deck) -> ValidationResult:
     """The axiom check behind :func:`validate`, run once per deck.
 
     D1 is checked by star cover rather than pair by pair.  For each card the
-    stars of its symbols are folded into the cards it meets at least once and
-    those it meets at least twice; every later card outside the first mask or
-    inside the second is a violating pair.  That costs c*n operations on
+    stars of its symbols are folded into the cards it meets at least once.
+    The multiplicities of its symbols sum to the number of its meetings with
+    cards, counted with repeats: its own size plus one per other card met
+    once, two per card met twice, and so on.  So a card that meets every
+    card and whose sum is c + size - 1 meets every other card exactly once.
+    Any other card is folded again into the cards it meets at least once and
+    those it meets at least twice; every later card outside the first mask
+    or inside the second is a violating pair.  That costs c*n operations on
     c-bit masks plus one step per violation, instead of c*(c-1)/2 pair
-    checks.  D2 reads the multiplicities off the same stars.  Violations come
-    out grouped by axiom in the order D5, D3/D4 per card, D1 per pair (i, j)
-    in lexicographic order, D2 per symbol.
+    checks.  Neither test alone suffices: a card meeting one card twice and
+    missing another has the sum of a good card.  D2 reads the same
+    multiplicities.  Violations come out grouped by axiom in the order D5,
+    D3/D4 per card, D1 per pair (i, j) in lexicographic order, D2 per symbol.
     """
     violations: list[Violation] = []
     if deck.length < 1:
@@ -224,8 +230,14 @@ def _check_axioms(deck: Deck) -> ValidationResult:
                 )
             )
     stars = deck.stars
+    counts = [mask.bit_count() for mask in stars]
     full = (1 << deck.card_count) - 1
     for i, card in enumerate(deck.cards):
+        once = 0
+        for s in card:
+            once |= stars[s]
+        if once == full and sum(map(counts.__getitem__, card)) == deck.card_count + len(card) - 1:
+            continue  # meets every card, and all of them once: no violation
         once = twice = 0
         for s in card:
             twice |= once & stars[s]
@@ -246,8 +258,7 @@ def _check_axioms(deck: Deck) -> ValidationResult:
                     count=len(shared),
                 )
             )
-    for s, mask in enumerate(stars):
-        m = mask.bit_count()
+    for s, m in enumerate(counts):
         if m < 2:
             violations.append(
                 Violation("D2", f"symbol {deck.tokens[s]!r} appears on {m} card(s)", symbols=(s,), count=m)

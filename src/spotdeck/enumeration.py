@@ -16,6 +16,7 @@ completed ones.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -136,6 +137,23 @@ def _known_automorphisms(
     return found
 
 
+def _card_number(card: Sequence[int], base: int) -> int:
+    """The card's ids as the digits of one number in ``base``, first id most significant."""
+    number = 0
+    for s in card:
+        number = number * base + s
+    return number
+
+
+def _number_card(number: int, n: int, base: int) -> tuple[int, ...]:
+    """The ``n`` ids that :func:`_card_number` wrote as ``number``."""
+    digits = []
+    for _ in range(n):
+        number, digit = divmod(number, base)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def _minimal_form(
     n: int,
     cards: Sequence[tuple[int, ...]],
@@ -151,10 +169,21 @@ def _minimal_form(
     relabeled card with the smallest ids it could still receive; assigned ids
     always sit below pending ones, so each padded card is an elementwise
     lower bound of its completion and a branch whose padded sorted list is
-    above the incumbent is dead.  A node at depth k pads its partial cards
-    twice, once with ids from k and once with ids from k + 1; the bound of
-    the child giving id k to symbol s takes the cards of s's star from the
-    first padding and every other card from the second.
+    above the incumbent is dead.
+
+    The search works on numbers, not tuples: a card of n ids is the n-digit
+    number in base length + n + 1 (:func:`_card_number`).  No padded card
+    holds an id that large, so numbers compare exactly as the tuples do, and
+    the result is decoded once, on return.  Each node gets its cards padded
+    from its parent: ``gained[i]`` is card i padded with k, k + 1, ... and
+    ``unit[i]`` the sum of the place values of its pending digits, so
+    ``gained[i] + unit[i]`` is card i padded from k + 1.  The bound of the
+    child giving id k to symbol s takes the cards of s's star from
+    ``gained`` and every other card padded from k + 1; unsorted, that list
+    is the child's ``gained``.  A unit is the number 11...1, one digit per
+    pending id; a card that receives k has one pending id less, so its unit
+    is divided by the base, rounded down.  At a leaf every unit is 0 and
+    ``gained`` holds the relabeled cards.
 
     The incumbent starts as the sorted card list under the identity
     labeling, which the search has not walked.  Branches whose bound equals
@@ -184,10 +213,11 @@ def _minimal_form(
     search raises ``_OutOfBudget``.
     """
     length = len(stars)
+    base = length + n + 1
     # each star as a list of card indices: the loops below walk them, which is
     # faster than walking the bits
     carriers = [[i for i in range(len(cards)) if m >> i & 1] for m in stars]
-    best = sorted(cards)
+    best = sorted(_card_number(card, base) for card in cards)
     # best_path[i] is the old symbol that receives id i in the incumbent
     best_path = list(range(length))
     searched = False  # whether best_path is the path of a leaf searched so far
@@ -195,17 +225,12 @@ def _minimal_form(
     generators = _known_automorphisms(cards, stars)
     path: list[int] = []
 
-    # filler[k][need] completes a card missing `need` symbols with k, k+1, ...
-    filler = [
-        [tuple(range(k, k + need)) for need in range(n + 1)] for k in range(length + 1)
-    ]
-
-    def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
+    def search(k: int, gained: list[int], unit: list[int], free: list[int], fixed: int) -> int:
         """Search below the node at depth ``k``; return the depth to resume at."""
         nonlocal best, best_path, searched
         budget.spend()
         if k == length:
-            form = sorted(partials)  # by D4 every card has all its n ids here
+            form = sorted(gained)  # by D4 every card has all its n ids here
             if form < best:
                 best, best_path, searched = form, list(path), True
                 if stop_below_seed:
@@ -224,22 +249,19 @@ def _minimal_form(
                     return parting
                 best_path, searched = list(path), True
             return k
-        # a child's bound: the cards through its symbol take k and are padded
-        # from k + 1 (`gained`), every other card is padded from k + 1 (`later`)
-        later = [part + filler[k + 1][n - len(part)] for part in partials]
-        gained = [part + filler[k][n - len(part)] for part in partials]
+        later = list(map(operator.add, gained, unit))
         ranked = []
         for s in free:
             bound = list(later)
             for index in carriers[s]:
                 bound[index] = gained[index]
-            bound.sort()
-            ranked.append((bound, s))
+            # ties on the sorted bound are broken by s, never by the unsorted list
+            ranked.append((sorted(bound), s, bound))
         ranked.sort()
         stabilizer: list[tuple[int, ...]] = []
         known = 0  # generators already sorted into `stabilizer` or out of it
         done = 0  # orbit closure of the children searched so far
-        for child_bound, s in ranked:
+        for child_bound, s, child_gained in ranked:
             if child_bound > best:
                 break  # ranked ascending, the rest cannot reach the best either
             if known < len(generators):
@@ -249,18 +271,20 @@ def _minimal_form(
             if done >> s & 1:
                 continue  # an image of a child already searched
             done = _orbit_closure(done | 1 << s, stabilizer)
-            child = list(partials)
+            child_unit = list(unit)
             for index in carriers[s]:
-                child[index] = child[index] + (k,)
+                child_unit[index] //= base
             path.append(s)
-            target = search(k + 1, child, [t for t in free if t != s], fixed | 1 << s)
+            target = search(k + 1, child_gained, child_unit, [t for t in free if t != s], fixed | 1 << s)
             path.pop()
             if target < k:
                 return target
         return k
 
-    search(0, [()] * len(cards), list(range(length)), 0)
-    return tuple(best)
+    # at the root every card is padded with 0, 1, ..., n - 1 and has n pending ids
+    padded, unit = _card_number(range(n), base), _card_number([1] * n, base)
+    search(0, [padded] * len(cards), [unit] * len(cards), list(range(length)), 0)
+    return tuple(_number_card(number, n, base) for number in best)
 
 
 def _is_self_canonical(

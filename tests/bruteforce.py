@@ -12,6 +12,8 @@ reproduce field for field and error for error.
 ``bnb_minimal_form`` and ``bnb_is_self_canonical`` are the lex-min
 branch-and-bound without automorphism pruning, which the package's pruned
 search must reproduce form for form and verdict for verdict.
+``reference_minimal_form`` is the pruned search itself on padded id tuples,
+which the package's search on numbers must reproduce node for node.
 ``normal_states`` lists every normal-form state, ``orderly_states`` the
 ones the census search visits once it stops below non-canonical states,
 and ``exact_hitting_sets`` lists by ``combinations`` the symbol sets that
@@ -391,6 +393,85 @@ def bnb_is_self_canonical(n: int, length: int, cards: list[tuple[int, ...]]) -> 
     except _FoundSmaller:
         return False
     return True
+
+
+def reference_minimal_form(n: int, cards, stars, budget, stop_below_seed: bool = False) -> tuple:
+    """``spotdeck.enumeration._minimal_form`` as it ran on tuples before cards became numbers.
+
+    Same arguments, same search tree: each node pads its partial cards
+    twice, from k and from k + 1, by tuple concatenation, and ranks its
+    children by their sorted padded card lists.  It spends ``budget`` once
+    per node, so ``budget.used`` must come out equal too.
+    """
+    from spotdeck.enumeration import _known_automorphisms, _orbit_closure
+
+    length = len(stars)
+    carriers = [[i for i in range(len(cards)) if m >> i & 1] for m in stars]
+    best = sorted(cards)
+    best_path = list(range(length))
+    searched = False
+    generators = _known_automorphisms(cards, stars)
+    path: list[int] = []
+    filler = [[tuple(range(k, k + need)) for need in range(n + 1)] for k in range(length + 1)]
+
+    def search(k: int, partials: list[tuple[int, ...]], free: list[int], fixed: int) -> int:
+        nonlocal best, best_path, searched
+        budget.spend()
+        if k == length:
+            form = sorted(partials)
+            if form < best:
+                best, best_path, searched = form, list(path), True
+                if stop_below_seed:
+                    return -1
+            elif form == best:
+                perm = list(range(length))
+                for s, image in zip(path, best_path):
+                    perm[s] = image
+                moved = sum(1 << s for s in range(length) if perm[s] != s)
+                if moved:
+                    generators.append((tuple(perm), moved))
+                if searched:
+                    parting = 0
+                    while path[parting] == best_path[parting]:
+                        parting += 1
+                    return parting
+                best_path, searched = list(path), True
+            return k
+        later = [part + filler[k + 1][n - len(part)] for part in partials]
+        gained = [part + filler[k][n - len(part)] for part in partials]
+        ranked = []
+        for s in free:
+            bound = list(later)
+            for index in carriers[s]:
+                bound[index] = gained[index]
+            bound.sort()
+            ranked.append((bound, s))
+        ranked.sort()
+        stabilizer: list[tuple[int, ...]] = []
+        known = 0
+        done = 0
+        for child_bound, s in ranked:
+            if child_bound > best:
+                break
+            if known < len(generators):
+                stabilizer += [perm for perm, moved in generators[known:] if not moved & fixed]
+                known = len(generators)
+                done = _orbit_closure(done, stabilizer)
+            if done >> s & 1:
+                continue
+            done = _orbit_closure(done | 1 << s, stabilizer)
+            child = list(partials)
+            for index in carriers[s]:
+                child[index] = child[index] + (k,)
+            path.append(s)
+            target = search(k + 1, child, [t for t in free if t != s], fixed | 1 << s)
+            path.pop()
+            if target < k:
+                return target
+        return k
+
+    search(0, [()] * len(cards), list(range(length)), 0)
+    return tuple(best)
 
 
 def oracle_census(order: int, max_cards: int) -> dict:

@@ -6,17 +6,27 @@ decks too large for ``brute_min_form``.  The pruned search must return the
 same form on every class of orders 2 to 4, under relabelings, and on the
 symmetric constructions where the pruning cuts most; and the seeded
 canonicity check must give the same verdict on the order-4 states where a
-wrong verdict could lose or invent a class.
+wrong verdict could lose or invent a class.  ``bruteforce.reference_minimal_form``
+is the same pruned search on padded id tuples; the search on numbers must
+walk the same tree, node for node.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import spotdeck.enumeration as enumeration
-from bruteforce import bnb_is_self_canonical, bnb_minimal_form, normal_states, orderly_states
+from bruteforce import (
+    bnb_is_self_canonical,
+    bnb_minimal_form,
+    normal_states,
+    orderly_states,
+    reference_minimal_form,
+)
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, remove_cards
-from spotdeck.deck import normalize
+from spotdeck.deck import normalize, validate
 from spotdeck.enumeration import canonical_form, enumerate_decks
 from test_enumeration import permuted
 
@@ -213,3 +223,77 @@ def test_known_automorphisms_fix_the_card_list():
             assert image == sorted(cards), (cards, perm)
             swaps += 1
     assert swaps > 0
+
+
+def random_d4_deck(rng):
+    """A deck of 1 to 9 distinct cards of one size n = 1 to 5; D1 and D2 mostly break.
+
+    One deck in five then gets a card overwritten by a copy of another.
+    """
+    n = rng.randint(1, 5)
+    pool = rng.randint(n + 1, 2 * n + 9)
+    cards = []
+    for _ in range(36):
+        card = rng.sample(range(pool), n)
+        if len(cards) < 9 and sorted(card) not in map(sorted, cards):
+            cards.append(card)
+    cards = cards[: rng.randint(1, len(cards))]
+    if len(cards) > 1 and rng.random() < 0.2:
+        copy, original = rng.sample(range(len(cards)), 2)
+        cards[copy] = list(cards[original])
+    return normalize(cards)
+
+
+def assert_same_tree_as_reference(deck):
+    """Form and spent nodes equal the tuple-padded search's, in both modes."""
+    for stop_below_seed in (False, True):
+        searched, reference = enumeration._Budget(None), enumeration._Budget(None)
+        form = enumeration._minimal_form(deck.order, deck.cards, deck.stars, searched, stop_below_seed)
+        expected = reference_minimal_form(deck.order, deck.cards, deck.stars, reference, stop_below_seed)
+        assert (form, searched.used) == (expected, reference.used), deck.cards
+
+
+def test_random_decks_walk_the_reference_tree():
+    rng = random.Random(20)
+    decks = [random_d4_deck(rng) for _ in range(1500)]
+    for deck in decks:
+        assert_same_tree_as_reference(deck)
+    # the sample has what the encoding must survive: every size, repeats, D1 breaks
+    assert {deck.order for deck in decks} == {1, 2, 3, 4, 5}
+    assert sum(len(set(deck.cards)) < deck.card_count for deck in decks) > 150
+    assert sum(any(v.axiom == "D1" for v in validate(deck).violations) for deck in decks) > 1000
+
+
+@pytest.mark.parametrize(
+    "deck",
+    [build_paired(4), build_two_symmetric(5), build_grid_blocks(4, 3)]
+    + [remove_cards(build_grid_blocks(4, 3), [i]) for i in (0, 7)],
+    ids=["paired4", "two_symmetric5", "grid4x3", "grid4x3_minus_card0", "grid4x3_minus_card7"],
+)
+def test_benchmark_decks_walk_the_reference_tree(deck):
+    """The decks the benchmark canonicalizes, as built and relabeled."""
+    assert_same_tree_as_reference(deck)
+    for seed in range(RELABELINGS):
+        assert_same_tree_as_reference(permuted(deck, seed))
+
+
+def test_card_numbers_order_and_decode_like_tuples():
+    rng = random.Random(4)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        base = rng.randint(2, 40)
+        a, b = (tuple(rng.randrange(base) for _ in range(n)) for _ in range(2))
+        x, y = enumeration._card_number(a, base), enumeration._card_number(b, base)
+        assert (x < y, x == y) == (a < b, a == b)
+        assert enumeration._number_card(x, n, base) == a
+
+
+@pytest.mark.parametrize(
+    "deck",
+    [build_paired(4), build_grid_blocks(4, 3), build_two_symmetric(5)],
+    ids=["paired4", "grid4x3", "two_symmetric5"],
+)
+def test_decoded_canonical_form_is_the_reference_form(deck):
+    form = canonical_form(deck).cards
+    assert form == reference_minimal_form(deck.order, deck.cards, deck.stars, enumeration._Budget(None))
+    assert all(type(card) is tuple and all(type(s) is int for s in card) for card in form)

@@ -238,6 +238,19 @@ class TestValidateMatchesPairwise:
         deck = SAMPLES[name]()
         assert_matches_pairwise(with_duplicate(deck, deck.card_count // 2))
 
+    def test_card_with_a_good_multiplicity_sum_that_misses_a_card(self):
+        """Swapping symbols 2 and 3 between two Fano lines keeps every multiplicity.
+
+        Card 0 then meets card 3 twice and card 6 not at all, yet its
+        symbols' multiplicities still sum to c + n - 1: only the cover of
+        its stars shows the violations.
+        """
+        deck = normalize([(0, 1, 3), (0, 2, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)])
+        counts = [mask.bit_count() for mask in deck.stars]
+        assert sum(counts[s] for s in deck.cards[0]) == deck.card_count + deck.order - 1
+        assert_matches_pairwise(deck)
+        assert [v.cards for v in validate(deck).violations] == [(0, 3), (0, 6), (1, 3), (1, 6)]
+
     @settings(max_examples=300, deadline=None)
     @given(random_decks())
     def test_random_decks(self, deck):
