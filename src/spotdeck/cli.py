@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (valid deck, maximal verdict, search ran), 1 invalid
 deck or a negative verdict from ``maximal``/``extend``, 2 usage or parse
-errors, 3 internal error (an ``InvariantViolation``, which means a bug in
-this package; one ``internal error: ...`` line on stderr, no traceback).
+errors or a ``RecursionError`` (a search deeper than Python's recursion
+limit: the canonicity proof recurses once per symbol), 3 internal error (an
+``InvariantViolation``, which means a bug in this package; one ``internal
+error: ...`` line on stderr, no traceback).
 Results go to stdout, diagnostics to stderr.  With ``--json`` every result
 is one JSON document on stdout, with stable key order, and stderr stays
 empty.  Errors are text in both modes: one ``error: ...`` or ``internal
@@ -418,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid: {len(exc.violations)} violation(s)")
         sys.stderr.writelines(f"{v.axiom}: {v.message}\n" for v in exc.violations)
         return EXIT_FAIL
-    except (DeckError, ValueError, OSError) as exc:
+    except (DeckError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

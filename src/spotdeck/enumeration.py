@@ -308,16 +308,19 @@ class EnumerationResult:
 def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) -> EnumerationResult:
     """All decks of the given order with at most ``max_cards`` cards, one per class.
 
-    Cards are appended in strictly increasing lexicographic order and new
-    symbols take the next unused ids, so every structure in the tree is in
-    normal form.  The one-shared-symbol axiom and uniform card size hold at
-    every step; only the two-cards-per-symbol axiom may be pending while the
-    structure is partial.  A next card meets every card once, so it is a set
-    of existing symbols whose stars partition the cards, padded with fresh
-    ids; ``maximality._transversals``, the search that also finds extension
-    cards, yields those sets.  Each child gets its own card list and stars,
-    built from its parent's and passed down the recursion, so nothing is
-    undone on the way back.
+    Every state is in normal form: its cards strictly increase and its ids
+    are numbered in the order the cards first use them.  Axioms D1 and D4
+    hold at every step; only D2 may be pending.  A next card meets every
+    card once: a set of existing symbols whose stars partition the cards
+    (``maximality._transversals``, the exact-cover search that also finds
+    extension cards, yields them), padded with fresh ids.  Each child, with
+    card list and stars built from its parent's, is visited as soon as it is
+    yielded; nothing is listed or sorted.  The search branches on the lowest
+    uncovered card p and skips a symbol of p first used on an earlier, hence
+    covered, card, so each chosen symbol first appears on its own pivot card.
+    Later pivots lie further on, so a set comes out in increasing id order,
+    and siblings are tried in increasing id order too: the padded cards
+    strictly increase, and those at or below the last card form a prefix.
 
     Every structure of two or more cards is checked against its own
     canonical form, the lex-min relabeling of its sorted card list.  One that
@@ -335,12 +338,13 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     search nodes of every canonicity proof.  Those proofs are most of the
     count: the order-4 walk visits 291 states in 20,457 nodes, and its
     accepting proofs meet many leaves equal to the seed and jump back from
-    them as ``_minimal_form`` describes.  The node budget caps that count,
-    so it bounds the run time even where a single proof is long; an
-    exhausted budget raises ``_OutOfBudget``, at a state or in the middle of
-    a proof, which stops the walk deterministically and flags the result
-    incomplete.  ``None`` means no budget; a negative one raises
-    ``ValueError``.
+    them as ``_minimal_form`` describes.  The node budget caps that count;
+    an exhausted budget raises ``_OutOfBudget``, at a state or in the middle
+    of a proof, which stops the walk before it pulls another candidate: a
+    truncated run is a prefix of the complete one, flagged incomplete.  Not
+    counted are the dead-end branches of ``_transversals`` and the cost of a
+    proof node, which grows with the deck.  ``None`` means no budget; a
+    negative one raises ``ValueError``.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -363,17 +367,14 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
             return
         # next cards: a transversal of existing symbols plus fresh ids, above the last card
         used = len(stars)
-        nexts: list[tuple[int, ...]] = []
-        for chosen in _transversals(cards, stars, order):
-            card = tuple(sorted(chosen)) + tuple(range(used, used + order - len(chosen)))
-            if card > cards[-1]:
-                nexts.append(card)
         bit = 1 << len(cards)
-        for card in sorted(nexts):
-            child_stars = stars + [0] * (card[-1] + 1 - used)  # one empty star per fresh id
-            for s in card:
-                child_stars[s] |= bit
-            grow(cards + [card], child_stars)
+        for chosen in _transversals(cards, stars, order):
+            card = chosen + tuple(range(used, used + order - len(chosen)))
+            if card > cards[-1]:
+                child_stars = stars + [0] * (card[-1] + 1 - used)  # one empty star per fresh id
+                for s in card:
+                    child_stars[s] |= bit
+                grow(cards + [card], child_stars)
 
     try:
         grow([tuple(range(order))], [1] * order)
@@ -488,12 +489,8 @@ def probe_length_conjecture(order: int, node_budget: int | None = None) -> Lengt
     """
     delta = fundamental_number(order)
     result = enumerate_decks(order, delta, node_budget)
-    witness = None
-    max_length = 0
-    for form in result.forms:
-        max_length = max(max_length, form.length)
-        if form.length > delta and witness is None:
-            witness = form
+    max_length = max((form.length for form in result.forms), default=0)
+    witness = next((form for form in result.forms if form.length > delta), None)
     return LengthProbeReport(
         order=order,
         fundamental=delta,

@@ -406,6 +406,27 @@ def test_internal_error_exits_3_without_traceback(fano_file, tmp_path, monkeypat
             assert captured.err == "internal error: cross-check failed\n"
 
 
+def test_search_too_deep_exits_2_without_traceback(monkeypatch, capsys):
+    # the canonicity proof recurses once per symbol, so a census walk that
+    # reaches a deck of about 1,000 symbols hits Python's recursion limit
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    cases = [
+        ("enumerate_decks", ["enumerate", "--n", "2"]),
+        ("census", ["census", "--n", "2"]),
+        ("probe_length_conjecture", ["probe-length", "--n", "2"]),
+    ]
+    for name, argv in cases:
+        for mode in ([], ["--json"]):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"spotdeck.cli.{name}", too_deep)
+                assert main([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: maximum recursion depth exceeded\n"
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

@@ -163,6 +163,28 @@ class TestEnumerate:
         assert result.nodes == 1000
         assert result.forms == ()
 
+    def test_budgeted_run_stops_pulling_candidates(self, monkeypatch):
+        # next cards are pulled from the exact-cover search one at a time, so
+        # a run stops pulling them when its budget runs out; at these orders
+        # the first few states of the walk have tens of thousands to millions
+        # of candidates between them
+        transversals = enumeration._transversals
+        pulled = 0
+
+        def counting(*args):
+            nonlocal pulled
+            for chosen in transversals(*args):
+                pulled += 1
+                yield chosen
+
+        monkeypatch.setattr(enumeration, "_transversals", counting)
+        for order in (6, 7, 8):
+            pulled = 0
+            result = enumerate_decks(order, fundamental_number(order), node_budget=300)
+            assert result.complete is False
+            assert result.nodes == 300
+            assert pulled < 100
+
     def test_deterministic(self):
         a = enumerate_decks(3, 7)
         b = enumerate_decks(3, 7)
@@ -332,3 +354,33 @@ class TestNormalFormTheory:
                         seen.append(s)
             assert seen == sorted(seen)
             assert list(form.cards) == sorted(form.cards)
+
+    def test_next_cards_come_out_in_increasing_order(self, monkeypatch):
+        # the walk visits each next card as the exact-cover search yields it,
+        # with no sort: on every state it expands the yielded sets are sorted,
+        # the padded cards strictly increase, and those at or below the last
+        # card come first.  A change to the search's branching order shows here
+        transversals = enumeration._transversals
+        expanded = []
+
+        def recording(cards, stars, n):
+            expanded.append((list(cards), list(stars)))
+            return transversals(cards, stars, n)
+
+        monkeypatch.setattr(enumeration, "_transversals", recording)
+        skipped = 0  # cards at or below the last card, over all the expanded states
+        for order, c_max in ((2, 3), (3, 7), (4, 13), (5, 6)):
+            expanded.clear()
+            assert enumerate_decks(order, c_max).complete
+            assert expanded
+            for cards, stars in expanded:
+                used = len(stars)
+                padded = []
+                for chosen in transversals(cards, stars, order):
+                    assert list(chosen) == sorted(chosen)
+                    padded.append(chosen + tuple(range(used, used + order - len(chosen))))
+                assert all(a < b for a, b in zip(padded, padded[1:]))
+                above = [card > cards[-1] for card in padded]
+                assert above == sorted(above)
+                skipped += above.count(False)
+        assert skipped > 0
