@@ -83,13 +83,20 @@ class _Budget:
         self.used += 1
 
 
-def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
-    """The smallest superset of the symbol bitmask that every permutation maps into itself."""
+def _orbit_closure(mask: int, generators: list[tuple[tuple[int, ...], int]], fixed: int) -> int:
+    """The smallest superset of the symbol bitmask closed under the generators fixing ``fixed``.
+
+    Each generator is a ``(perm, moved)`` pair, ``moved`` the bitmask of the
+    symbols ``perm`` moves.  Those whose ``moved`` misses ``fixed`` fix it
+    pointwise and are used, each on the frontier's symbols it moves only.
+    """
     frontier = mask
     while frontier:
         images = 0
-        for perm in perms:
-            rest = frontier
+        for perm, moved in generators:
+            if moved & fixed:
+                continue
+            rest = frontier & moved
             while rest:
                 low = rest & -rest
                 images |= 1 << perm[low.bit_length() - 1]
@@ -145,15 +152,6 @@ def _card_number(card: Sequence[int], base: int) -> int:
     return number
 
 
-def _number_card(number: int, n: int, base: int) -> tuple[int, ...]:
-    """The ``n`` ids that :func:`_card_number` wrote as ``number``."""
-    digits = []
-    for _ in range(n):
-        number, digit = divmod(number, base)
-        digits.append(digit)
-    return tuple(reversed(digits))
-
-
 def _minimal_form(
     n: int,
     cards: Sequence[tuple[int, ...]],
@@ -173,20 +171,22 @@ def _minimal_form(
 
     The search works on numbers, not tuples: a card of n ids is the n-digit
     number in base length + n + 1 (:func:`_card_number`).  No padded card
-    holds an id that large, so numbers compare exactly as the tuples do, and
-    the result is decoded once, on return.  Each node gets its cards padded
-    from its parent: ``gained[i]`` is card i padded with k, k + 1, ... and
-    ``unit[i]`` the sum of the place values of its pending digits, so
-    ``gained[i] + unit[i]`` is card i padded from k + 1.  The bound of the
-    child giving id k to symbol s takes the cards of s's star from
-    ``gained`` and every other card padded from k + 1; unsorted, that list
-    is the child's ``gained``.  A unit is the number 11...1, one digit per
-    pending id; a card that receives k has one pending id less, so its unit
-    is divided by the base, rounded down.  At a leaf every unit is 0 and
-    ``gained`` holds the relabeled cards.
+    holds an id that large, so numbers compare exactly as the tuples do.
+    Each node gets its cards padded from its parent: ``gained[i]`` is card i
+    padded with k, k + 1, ... and ``unit[i]`` the sum of the place values of
+    its pending digits, so ``gained[i] + unit[i]`` is card i padded from
+    k + 1.  The bound of the child giving id k to symbol s takes the cards of
+    s's star from ``gained`` and every other card padded from k + 1;
+    unsorted, that list is the child's ``gained``.  A unit is the number
+    11...1, one digit per pending id; a card that receives k has one pending
+    id less, so its unit is divided by the base, rounded down.  At a leaf
+    every unit is 0 and ``gained`` holds the relabeled cards.
 
-    The incumbent starts as the sorted card list under the identity
-    labeling, which the search has not walked.  Branches whose bound equals
+    The incumbent is held twice, as the numbers ``best`` and as the labeling
+    ``best_path`` that gives them: both start as the sorted card list under
+    the identity labeling, which the search has not walked, and change
+    together, at a smaller leaf or at the first tied leaf.  The form returned
+    is the cards relabeled by ``best_path``.  Branches whose bound equals
     the incumbent stay alive, so leaves equal to it are reached.  Two
     labelings giving the same form differ by an automorphism of the deck,
     which is recorded as a generator.  A node's children are images of each
@@ -258,19 +258,17 @@ def _minimal_form(
             # ties on the sorted bound are broken by s, never by the unsorted list
             ranked.append((sorted(bound), s, bound))
         ranked.sort()
-        stabilizer: list[tuple[int, ...]] = []
-        known = 0  # generators already sorted into `stabilizer` or out of it
+        known = 0  # how many generators `done` was last closed under
         done = 0  # orbit closure of the children searched so far
         for child_bound, s, child_gained in ranked:
             if child_bound > best:
                 break  # ranked ascending, the rest cannot reach the best either
             if known < len(generators):
-                stabilizer += [perm for perm, moved in generators[known:] if not moved & fixed]
                 known = len(generators)
-                done = _orbit_closure(done, stabilizer)
+                done = _orbit_closure(done, generators, fixed)
             if done >> s & 1:
                 continue  # an image of a child already searched
-            done = _orbit_closure(done | 1 << s, stabilizer)
+            done = _orbit_closure(done | 1 << s, generators, fixed)
             child_unit = list(unit)
             for index in carriers[s]:
                 child_unit[index] //= base
@@ -284,7 +282,8 @@ def _minimal_form(
     # at the root every card is padded with 0, 1, ..., n - 1 and has n pending ids
     padded, unit = _card_number(range(n), base), _card_number([1] * n, base)
     search(0, [padded] * len(cards), [unit] * len(cards), list(range(length)), 0)
-    return tuple(_number_card(number, n, base) for number in best)
+    new_id = {s: i for i, s in enumerate(best_path)}
+    return tuple(sorted(tuple(sorted(new_id[s] for s in card)) for card in cards))
 
 
 def _is_self_canonical(

@@ -13,7 +13,8 @@ reproduce field for field and error for error.
 branch-and-bound without automorphism pruning, which the package's pruned
 search must reproduce form for form and verdict for verdict.
 ``reference_minimal_form`` is the pruned search itself on padded id tuples,
-which the package's search on numbers must reproduce node for node.
+with its own orbit closure ``reference_orbit_closure``, which the package's
+search on numbers must reproduce node for node.
 ``normal_states`` lists every normal-form state, ``orderly_states`` the
 ones the census search visits once it stops below non-canonical states,
 and ``exact_hitting_sets`` lists by ``combinations`` the symbol sets that
@@ -395,15 +396,38 @@ def bnb_is_self_canonical(n: int, length: int, cards: list[tuple[int, ...]]) -> 
     return True
 
 
+def reference_orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
+    """The smallest superset of the symbol bitmask that every permutation maps into itself.
+
+    Every frontier symbol goes through every permutation, moved by it or not.
+    """
+    frontier = mask
+    while frontier:
+        images = 0
+        for perm in perms:
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                images |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+        frontier = images & ~mask
+        mask |= frontier
+    return mask
+
+
 def reference_minimal_form(n: int, cards, stars, budget, stop_below_seed: bool = False) -> tuple:
     """``spotdeck.enumeration._minimal_form`` as it ran on tuples before cards became numbers.
 
     Same arguments, same search tree: each node pads its partial cards
     twice, from k and from k + 1, by tuple concatenation, and ranks its
     children by their sorted padded card lists.  It spends ``budget`` once
-    per node, so ``budget.used`` must come out equal too.
+    per node, so ``budget.used`` must come out equal too.  Each node copies
+    the generators that fix its assigned symbols into its own stabilizer
+    list and closes orbits with :func:`reference_orbit_closure`, which maps
+    every frontier symbol through every permutation; the package's search
+    keeps one generator list and maps only the symbols a generator moves.
     """
-    from spotdeck.enumeration import _known_automorphisms, _orbit_closure
+    from spotdeck.enumeration import _known_automorphisms
 
     length = len(stars)
     carriers = [[i for i in range(len(cards)) if m >> i & 1] for m in stars]
@@ -456,10 +480,10 @@ def reference_minimal_form(n: int, cards, stars, budget, stop_below_seed: bool =
             if known < len(generators):
                 stabilizer += [perm for perm, moved in generators[known:] if not moved & fixed]
                 known = len(generators)
-                done = _orbit_closure(done, stabilizer)
+                done = reference_orbit_closure(done, stabilizer)
             if done >> s & 1:
                 continue
-            done = _orbit_closure(done | 1 << s, stabilizer)
+            done = reference_orbit_closure(done | 1 << s, stabilizer)
             child = list(partials)
             for index in carriers[s]:
                 child[index] = child[index] + (k,)

@@ -24,10 +24,11 @@ from bruteforce import (
     normal_states,
     orderly_states,
     reference_minimal_form,
+    reference_orbit_closure,
 )
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, remove_cards
 from spotdeck.deck import normalize, validate
-from spotdeck.enumeration import canonical_form, enumerate_decks
+from spotdeck.enumeration import canonical_form, census, enumerate_decks
 from test_enumeration import permuted
 
 RELABELINGS = 5
@@ -264,12 +265,17 @@ def test_random_decks_walk_the_reference_tree():
     assert sum(any(v.axiom == "D1" for v in validate(deck).violations) for deck in decks) > 1000
 
 
-@pytest.mark.parametrize(
-    "deck",
-    [build_paired(4), build_two_symmetric(5), build_grid_blocks(4, 3)]
-    + [remove_cards(build_grid_blocks(4, 3), [i]) for i in (0, 7)],
-    ids=["paired4", "two_symmetric5", "grid4x3", "grid4x3_minus_card0", "grid4x3_minus_card7"],
-)
+# the decks the benchmark canonicalizes, with a grid deck minus each of two cards
+BENCHMARK_DECKS = {
+    "paired4": build_paired(4),
+    "two_symmetric5": build_two_symmetric(5),
+    "grid4x3": build_grid_blocks(4, 3),
+    "grid4x3_minus_card0": remove_cards(build_grid_blocks(4, 3), [0]),
+    "grid4x3_minus_card7": remove_cards(build_grid_blocks(4, 3), [7]),
+}
+
+
+@pytest.mark.parametrize("deck", BENCHMARK_DECKS.values(), ids=BENCHMARK_DECKS.keys())
 def test_benchmark_decks_walk_the_reference_tree(deck):
     """The decks the benchmark canonicalizes, as built and relabeled."""
     assert_same_tree_as_reference(deck)
@@ -277,7 +283,7 @@ def test_benchmark_decks_walk_the_reference_tree(deck):
         assert_same_tree_as_reference(permuted(deck, seed))
 
 
-def test_card_numbers_order_and_decode_like_tuples():
+def test_card_numbers_order_like_tuples():
     rng = random.Random(4)
     for _ in range(2000):
         n = rng.randint(1, 6)
@@ -285,7 +291,71 @@ def test_card_numbers_order_and_decode_like_tuples():
         a, b = (tuple(rng.randrange(base) for _ in range(n)) for _ in range(2))
         x, y = enumeration._card_number(a, base), enumeration._card_number(b, base)
         assert (x < y, x == y) == (a < b, a == b)
-        assert enumeration._number_card(x, n, base) == a
+
+
+def moved_mask(perm):
+    return sum(1 << s for s in range(len(perm)) if perm[s] != s)
+
+
+def random_generator(rng, length):
+    """A ``(perm, moved)`` record: a swap, a few swaps, or a shuffle of some symbols."""
+    perm = list(range(length))
+    kind = rng.randrange(3)
+    if kind < 2:
+        for _ in range(1 if kind == 0 else rng.randint(2, 4)):
+            a, b = rng.sample(range(length), 2)
+            perm[a], perm[b] = perm[b], perm[a]
+    else:
+        some = rng.sample(range(length), rng.randint(2, length))
+        images = list(some)
+        rng.shuffle(images)
+        for s, image in zip(some, images):
+            perm[s] = image
+    return tuple(perm), moved_mask(perm)
+
+
+def test_orbit_closure_is_the_stabilizer_closure():
+    """Closing under the generators that fix ``fixed`` pointwise, walking only moved symbols,
+    gives the reference closure over the stabilizer list the reference search builds."""
+    rng = random.Random(22)
+    empty_masks = filtered = 0
+    for _ in range(3000):
+        length = rng.randint(2, 12)
+        generators = [random_generator(rng, length) for _ in range(rng.randint(0, 6))]
+        fixed = rng.getrandbits(length) if rng.random() < 0.7 else 0
+        mask = rng.getrandbits(length) if rng.random() < 0.9 else 0
+        stabilizer = [perm for perm, moved in generators if not moved & fixed]
+        closure = enumeration._orbit_closure(mask, generators, fixed)
+        assert closure == reference_orbit_closure(mask, stabilizer), (mask, generators, fixed)
+        empty_masks += mask == 0
+        filtered += closure != reference_orbit_closure(mask, [perm for perm, _ in generators])
+    # the sample has empty masks and generators that move fixed symbols and would widen the orbits
+    assert empty_masks > 100
+    assert filtered > 300
+
+
+def test_generator_records_carry_their_moved_symbols(monkeypatch):
+    """Every generator the search closes orbits under moves exactly the symbols of its mask.
+
+    A mask missing a moved symbol would let a generator that moves a fixed
+    symbol through, and would hide a symbol from the closure.
+    """
+    records = {}
+    closure = enumeration._orbit_closure
+
+    def recording(mask, generators, fixed):
+        for perm, moved in generators:
+            records[perm] = moved
+        return closure(mask, generators, fixed)
+
+    monkeypatch.setattr(enumeration, "_orbit_closure", recording)
+    census(4)
+    for deck in BENCHMARK_DECKS.values():
+        for relabeled in [deck] + [permuted(deck, seed) for seed in range(RELABELINGS)]:
+            canonical_form(relabeled)
+    assert len(records) > 100
+    for perm, moved in records.items():
+        assert moved == moved_mask(perm), perm
 
 
 @pytest.mark.parametrize(
