@@ -4,7 +4,8 @@ Every identity or bound computed here is a proved consequence of the deck
 axioms, so each function that relies on them passes the deck through the
 gate ``require_valid`` before it answers.  On a valid deck every check must
 come out true, and equivalent characterizations are computed redundantly and
-compared; a disagreement is a bug in this package (``InvariantViolation``).
+compared.  A failed identity or a disagreement is a bug in this package and
+raises ``InvariantViolation``; no function here reports one as a result.
 """
 
 from __future__ import annotations
@@ -50,26 +51,12 @@ def multiplicities(deck: Deck) -> MultiplicityTable:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    holds: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class IdentityReport:
-    """Per-card multiplicity sums, the global square sum, and all bound checks."""
+    """Per-card multiplicity sums, the global square sum, and the names of the checks made."""
 
     card_sums: tuple[int, ...]
     square_sum: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(check.holds for check in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(check for check in self.checks if not check.holds)
+    checks: tuple[str, ...]
 
 
 def check_identities(deck: Deck) -> IdentityReport:
@@ -77,6 +64,9 @@ def check_identities(deck: Deck) -> IdentityReport:
 
     All arithmetic is integer-exact; the mean inequality cn/l <= (c+n-1)/n is
     checked as cn*n <= l*(c+n-1).  An invalid deck raises ``InvalidDeckError``.
+    Each check is a proved consequence of the axioms, so a failed one on a
+    valid deck is a bug in this package: it raises ``InvariantViolation``
+    naming every failed check with its detail, in check order.
     """
     require_valid(deck)
     table = multiplicities(deck)
@@ -88,10 +78,13 @@ def check_identities(deck: Deck) -> IdentityReport:
     card_sums = tuple(sum(counts[s] for s in card) for card in deck.cards)
     square_sum = sum(m * m for m in counts)
 
-    checks: list[CheckResult] = []
+    names: list[str] = []
+    failed: list[str] = []
 
-    def add(name: str, holds: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, holds, "" if holds else detail))
+    def add(name: str, holds: bool, detail: str) -> None:
+        names.append(name)
+        if not holds:
+            failed.append(f"{name}: {detail}")
 
     bad_cards = [i for i, s in enumerate(card_sums) if s != c + n - 1]
     add(
@@ -164,7 +157,9 @@ def check_identities(deck: Deck) -> IdentityReport:
         f"symbol aligned to all others exists is {hub}",
     )
 
-    return IdentityReport(card_sums=card_sums, square_sum=square_sum, checks=tuple(checks))
+    if failed:
+        raise InvariantViolation("identities fail on a valid deck: " + "; ".join(failed))
+    return IdentityReport(card_sums=card_sums, square_sum=square_sum, checks=tuple(names))
 
 
 @dataclass(frozen=True)

@@ -61,3 +61,22 @@ THREE_BLOCK_TEXT = """\
 """
 
 THREE_BLOCK_ROWS = [line.split() for line in THREE_BLOCK_TEXT.splitlines()]
+
+# the checks of ``check_identities``, in the order it makes them
+IDENTITY_NAMES = (
+    "per_card_sum",
+    "total_sum",
+    "square_sum",
+    "mult_at_most_order",
+    "mult_star_bound",
+    "cards_at_most_length",
+    "mean_bounds",
+    "deck_mean_vs_card_mean",
+    "card_count_chain",
+    "length_chain",
+    "popular_multiplicity",
+    "full_multiplicity_forces_length",
+    "symmetric_length_cap",
+    "symmetric_pair_deficit",
+    "saturated_star_equivalence",
+)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 from bruteforce import all_normal_decks, are_isomorphic, iso_classes
-from sample_decks import FANO_TEXT, PAIRED_4_TEXT, THREE_BLOCK_TEXT
+from sample_decks import FANO_TEXT, IDENTITY_NAMES, PAIRED_4_TEXT, THREE_BLOCK_TEXT
 from spotdeck.analysis import (
     ExistenceStatus,
     bruck_ryser_excluded,
@@ -52,7 +52,7 @@ def test_criterion_1_fano_fixture():
     report = check_identities(deck)
     assert report.card_sums == (9,) * 7
     assert report.square_sum == 63
-    assert report.all_hold
+    assert report.checks == IDENTITY_NAMES
     _finish(1, started, 1.0, "7-card fixture valid, symmetric+paired+maximal, sums exact")
 
 
@@ -84,8 +84,8 @@ def test_criterion_3_theorem_suite():
     checked = 0
     for deck in decks:
         assert validate(deck).valid
-        report = check_identities(deck)
-        assert report.all_hold, (deck.order, deck.card_count, report.failures())
+        # raises InvariantViolation, naming each failed identity, if any fails
+        assert check_identities(deck).checks == IDENTITY_NAMES
         classify(deck)  # re-counts the two-multiplicity split on every card
         checked += 1
     _finish(3, started, 10.0, f"all identities hold on {checked} decks, zero tolerance")

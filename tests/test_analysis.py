@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import spotdeck
+from sample_decks import IDENTITY_NAMES
 from spotdeck.analysis import (
     ExistenceStatus,
     UnsupportedDeckError,
@@ -22,7 +23,7 @@ from spotdeck.analysis import (
     paired_existence,
 )
 from spotdeck.constructions import build_paired, build_two_symmetric
-from spotdeck.deck import validate
+from spotdeck.deck import InvariantViolation, validate
 
 
 class TestMultiplicities:
@@ -47,13 +48,12 @@ class TestIdentities:
         report = check_identities(fano)
         assert report.card_sums == (9,) * 7  # c + n - 1 = 7 + 3 - 1
         assert report.square_sum == 63  # c * (c + n - 1)
-        assert report.all_hold
-        assert report.failures() == ()
+        assert report.checks == IDENTITY_NAMES
 
     def test_three_block_numbers(self, three_block):
         report = check_identities(three_block)
         assert report.card_sums == (24,) * 18  # 18 + 7 - 1
-        assert report.all_hold
+        assert report.checks == IDENTITY_NAMES
 
     def test_single_multiplicity_mean_equality(self, fano, two_sym_3):
         # the mean inequality is tight exactly when all multiplicities agree
@@ -62,28 +62,25 @@ class TestIdentities:
             assert c * n * n == length * (c + n - 1)
 
     def test_names_are_stable(self, fano):
-        names = [check.name for check in check_identities(fano).checks]
-        assert names == [
-            "per_card_sum",
-            "total_sum",
-            "square_sum",
-            "mult_at_most_order",
-            "mult_star_bound",
-            "cards_at_most_length",
-            "mean_bounds",
-            "deck_mean_vs_card_mean",
-            "card_count_chain",
-            "length_chain",
-            "popular_multiplicity",
-            "full_multiplicity_forces_length",
-            "symmetric_length_cap",
-            "symmetric_pair_deficit",
-            "saturated_star_equivalence",
-        ]
+        # IDENTITY_NAMES spells out the 15 names in check order
+        assert check_identities(fano).checks == IDENTITY_NAMES
 
     def test_identities_on_fixture_decks(self, fano, fano_minus_one, three_block, two_sym_3):
         for deck in (fano, fano_minus_one, three_block, two_sym_3):
-            assert check_identities(deck).all_hold, check_identities(deck).failures()
+            # raises InvariantViolation, naming each failed identity, if any fails
+            assert check_identities(deck).checks == IDENTITY_NAMES
+
+    def test_failed_identities_raise_in_check_order(self, fano, monkeypatch):
+        # a wrong fundamental number breaks exactly the three checks that read it
+        monkeypatch.setattr("spotdeck.analysis.fundamental_number", lambda n: n * n - n)
+        with pytest.raises(InvariantViolation) as caught:
+            check_identities(fano)
+        assert str(caught.value) == (
+            "identities fail on a valid deck: "
+            "card_count_chain: chain n+1 <= n(lo-1)+1 <= c <= n(hi-1)+1 <= 6 broken (4, 7, 7, 7, 6); "
+            "full_multiplicity_forces_length: a symbol has multiplicity n yet l = 7 != 6; "
+            "symmetric_length_cap: single-multiplicity deck with l = 7 > 6"
+        )
 
 
 class TestClassify:
@@ -209,6 +206,22 @@ class TestCommonTriple:
         deck = build_paired(4)
         with pytest.raises(ValueError):
             find_common_triple(deck, [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_kn2_lemma(build_paired(3), [0, 1], 0), "k must be a positive integer"),
+        (lambda: check_kn2_lemma(build_paired(3), [0, 1, 2, 3, 9], 1), "card index out of range"),
+        (lambda: find_common_triple(build_paired(4), [0, 1, 2, 3, 99]), "card index out of range"),
+        (lambda: bruck_ryser_excluded(2), "the criterion applies from order 3 on"),
+        (lambda: paired_existence(1), "order must be at least 2"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestIdempotentOrders:

@@ -9,10 +9,13 @@ import pytest
 
 import spotdeck.deck
 from sample_decks import FANO_TEXT, PAIRED_4_TEXT, THREE_BLOCK_TEXT
+from spotdeck.analysis import Classification
 from spotdeck.cli import build_parser, main
 from spotdeck.constructions import build_paired, remove_cards
 from spotdeck.deck import InvariantViolation, MalformedCardError, normalize
+from spotdeck.enumeration import CanonicalForm, CensusEntry, CensusReport, LengthProbeReport
 from spotdeck.formats import deck_payload, parse_deck_text, render_deck_text, to_json
+from spotdeck.maximality import MaximalityVerdict
 
 
 @pytest.fixture
@@ -164,6 +167,40 @@ class TestAnalyzeCommand:
         path.write_text("a b\nc d\n")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_failed_identity_exits_3(self, fano_file, mode, monkeypatch, capsys):
+        # a wrong fundamental number breaks three identities on a valid deck
+        monkeypatch.setattr("spotdeck.analysis.fundamental_number", lambda n: n * n - n)
+        assert main(["analyze", fano_file, *mode]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: identities fail on a valid deck: "
+            "card_count_chain: chain n+1 <= n(lo-1)+1 <= c <= n(hi-1)+1 <= 6 broken (4, 7, 7, 7, 6); "
+            "full_multiplicity_forces_length: a symbol has multiplicity n yet l = 7 != 6; "
+            "symmetric_length_cap: single-multiplicity deck with l = 7 > 6\n"
+        )
+
+    def test_length_above_fundamental_note(self, fano_file, monkeypatch, capsys):
+        longer = Classification(
+            fundamental=6,
+            symmetric=True,
+            symmetric_multiplicity=3,
+            paired=True,
+            length_vs_fundamental="greater",
+            two_multiplicity_split=None,
+        )
+        monkeypatch.setattr("spotdeck.cli.classify", lambda deck: longer)
+        assert main(["analyze", fano_file]) == 0
+        assert capsys.readouterr().out == (
+            "deck: n=3 c=7 l=7\n"
+            "multiplicities: lo=3 hi=3\n"
+            "histogram: 3x7\n"
+            "identities: 15/15 hold\n"
+            "classification: symmetric(M=3), paired, maximal, length greater than fundamental 6\n"
+            "NOTE: length exceeds the fundamental number; no such deck was previously known\n"
+        )
+
 
 class TestBuildCommand:
     def test_paired_4_matches_golden(self, capsys):
@@ -214,6 +251,17 @@ class TestMaximalCommand:
         data = json.loads(captured.out)
         assert data["maximal"] is False
         assert set(data["extension"]) == {"5", "1", "2"}
+
+    def test_maximal_although_subset_sum_fails(self, fano_file, monkeypatch, capsys):
+        curiosity = MaximalityVerdict(sufficient_corollary=False, prop_condition=False, extension=None)
+        monkeypatch.setattr("spotdeck.cli.is_maximal", lambda deck: curiosity)
+        assert main(["maximal", fano_file]) == 0
+        assert capsys.readouterr().out == (
+            "sufficient condition (min-sum): fails\n"
+            "subset-sum condition: fails\n"
+            "maximal: yes\n"
+            "note: maximal although the subset-sum condition fails (recorded curiosity)\n"
+        )
 
 
 class TestExtendCommand:
@@ -291,6 +339,21 @@ class TestProbeLengthCommand:
         assert data["verdict"] == "exhausted"
         assert data["witness"] is None
 
+    def test_witness_lines(self, monkeypatch, capsys):
+        # a hand-built report: no search has found such a deck
+        witness = CanonicalForm(cards=((0, 1, 2), (0, 3, 4), (1, 3, 7)))
+        report = LengthProbeReport(
+            order=3, fundamental=7, classes_seen=5, max_length=8, witness=witness, exhausted=False, nodes=42
+        )
+        monkeypatch.setattr("spotdeck.cli.probe_length_conjecture", lambda *args: report)
+        assert main(["probe-length", "--n", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "order 3: fundamental number 7\n"
+            "searched 5 classes, max length 8, 42 nodes\n"
+            "WITNESS FOUND: length 8 exceeds the fundamental number: 0 1 2 | 0 3 4 | 1 3 7\n"
+            "this answers an open question; please double-check and report it\n"
+        )
+
 
 class TestCensusCommand:
     def test_order_3(self, capsys):
@@ -307,6 +370,31 @@ class TestCensusCommand:
         data = json.loads(captured.out)
         assert data["classes"][0]["paired"] is True
         assert data["collisions"] == []
+
+    def test_collision_line(self, monkeypatch, capsys):
+        # a hand-built report: no census has found two classes with one triple
+        entries = tuple(
+            CensusEntry(
+                order=4, card_count=9, length=13, histogram=((2, 4), (3, 9)),
+                symmetric=False, paired=False, maximal=maximal, digest=digest,
+            )
+            for maximal, digest in ((True, "aaaaaaaaaaaa"), (False, "bbbbbbbbbbbb"))
+        )
+        report = CensusReport(
+            order=4,
+            entries=entries,
+            collisions=(((4, 9, 13), ("aaaaaaaaaaaa", "bbbbbbbbbbbb")),),
+            complete=True,
+            nodes=12,
+        )
+        monkeypatch.setattr("spotdeck.cli.census", lambda *args: report)
+        assert main(["census", "--n", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "c=9 l=13 hist=[2x4 3x9] flags=maximal digest=aaaaaaaaaaaa\n"
+            "c=9 l=13 hist=[2x4 3x9] flags=- digest=bbbbbbbbbbbb\n"
+            "COLLISION (n,c,l)=(4, 9, 13): classes aaaaaaaaaaaa, bbbbbbbbbbbb\n"
+            "classes: 2 (complete, 12 nodes)\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["enumerate", "census", "probe-length"])

@@ -48,6 +48,23 @@ class TestPrimeHelpers:
         assert max_blocks(10) == 4  # q = 9, p = 3
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: smallest_prime_factor(1), "no prime factor below 2"),
+        (lambda: max_blocks(2), "grid construction needs order >= 3"),
+        (lambda: build_blocks(2, [ROWS, COLUMNS]), "grid construction needs order >= 3"),
+        (lambda: build_blocks(6, [ROWS, 5]), "pace 5 outside 1..4"),
+        (lambda: build_blocks(6, [ROWS, "diagonal"]), "unknown block 'diagonal'"),
+        (lambda: build_grid_blocks(2, 2), "grid construction needs order >= 3"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestTwoSymmetric:
     def test_order_3_matches_lettered_matrix(self, two_sym_3):
         built = build_two_symmetric(3)

@@ -15,8 +15,10 @@ from sample_decks import FANO_ROWS, PAIRED_4_TEXT, THREE_BLOCK_ROWS, TWO_SYM_3_R
 from spotdeck.analysis import multiplicities
 from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric, is_prime, max_blocks
 from spotdeck.deck import (
+    Deck,
     InvalidDeckError,
     MalformedCardError,
+    Violation,
     normalize,
     partition_by_card,
     require_valid,
@@ -157,6 +159,11 @@ class TestValidate:
         assert not result.valid
         assert all(v.axiom == "D2" for v in result.violations)
         assert len(result.violations) == 3
+
+    def test_no_symbols_breaks_d5(self):
+        # normalize refuses an empty deck, so only a hand-built one reaches D5
+        deck = Deck(cards=(), tokens=(), rows=(), stars=())
+        assert validate(deck).violations == (Violation("D5", "the deck has no symbols", count=0),)
 
     def test_all_violations_reported_not_just_first(self):
         deck = normalize([["a", "b"], ["c", "d"], ["e", "f"]])

@@ -10,7 +10,7 @@ import pytest
 
 import spotdeck.enumeration as enumeration
 from bruteforce import all_normal_decks, are_isomorphic, brute_min_form, iso_classes, orderly_states
-from sample_decks import TWO_SYM_3_ROWS
+from sample_decks import IDENTITY_NAMES, TWO_SYM_3_ROWS
 from spotdeck.analysis import check_identities, fundamental_number
 from spotdeck.constructions import build_grid_blocks, build_two_symmetric, remove_cards
 from spotdeck.deck import normalize, validate
@@ -97,7 +97,7 @@ class TestEnumerate:
             deck = form.to_deck()
             assert validate(deck).valid
             assert canonical_form(deck) == form
-            assert check_identities(deck).all_hold
+            assert check_identities(deck).checks == IDENTITY_NAMES
 
     def test_no_two_emitted_decks_isomorphic(self):
         result = enumerate_decks(3, 7)
@@ -295,7 +295,7 @@ class TestOrderFour:
         for form in result.forms:
             deck = form.to_deck()
             assert validate(deck).valid
-            assert check_identities(deck).all_hold
+            assert check_identities(deck).checks == IDENTITY_NAMES
             assert form.length <= fundamental_number(4)
             table.append((form.card_count, form.length, multiplicities(deck).histogram))
             triples.add((form.card_count, form.length))

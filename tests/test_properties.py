@@ -6,6 +6,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
+from sample_decks import IDENTITY_NAMES
 from spotdeck.analysis import check_identities, classify, fundamental_number, multiplicities
 from spotdeck.constructions import (
     build_grid_blocks,
@@ -64,8 +65,8 @@ def test_constructions_validate(deck):
 @settings(max_examples=40, deadline=None)
 @given(built_decks())
 def test_identities_hold_everywhere(deck):
-    report = check_identities(deck)
-    assert report.all_hold, report.failures()
+    # raises InvariantViolation, naming each failed identity, if any fails
+    assert check_identities(deck).checks == IDENTITY_NAMES
 
 
 @settings(max_examples=40, deadline=None)
