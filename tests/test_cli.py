@@ -68,6 +68,67 @@ class TestJsonFormat:
         assert list(data) == sorted(data)
 
 
+def _stdout_is_indented_json(out: str) -> bool:
+    return out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonBytes:
+    """Every command's ``--json`` stdout is the stdlib's indented, key-sorted dump."""
+
+    @pytest.fixture
+    def deck_files(self, tmp_path):
+        decks = {
+            "fano": FANO_TEXT,
+            "fano6": "".join(FANO_TEXT.splitlines(keepends=True)[1:]),
+            "bad": "a b\nc d\n",
+            "p8": render_deck_text(build_paired(8)),
+        }
+        paths = {}
+        for name, text in decks.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("verify {fano}", 0),
+            ("verify {bad}", 1),
+            ("analyze {fano}", 0),
+            ("maximal {fano}", 0),
+            ("maximal {fano6}", 1),
+            ("extend {fano6}", 0),
+            ("build paired --n 4", 0),
+            ("build grid --n 7 --blocks 3", 0),
+            ("build two-symmetric --n 4", 0),
+            ("enumerate --n 3", 0),
+            ("census --n 3", 0),
+            ("probe-length --n 3", 0),
+            ("spot {fano} --cards 0,1,2,3,4", 0),
+            ("spot {p8} --cards 0,1,2,3,4,5,6,7,8", 0),
+        ],
+    )
+    def test_command_output(self, deck_files, argv, code, capsys):
+        assert main([*argv.format(**deck_files).split(), "--json"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _stdout_is_indented_json(captured.out)
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_tokens_that_need_escaping(self, tmp_path, command, capsys):
+        # Fano with four tokens renamed: non-ASCII, quotes, a backslash, non-BMP
+        names = {"1": "é", "2": '"q"', "3": "a\\b", "4": "\U0001f0a1"}
+        rows = [[names.get(t, t) for t in line.split()] for line in FANO_TEXT.splitlines()]
+        path = tmp_path / "escaped.txt"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert main([command, str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.isascii()
+        assert _stdout_is_indented_json(out)
+        data = json.loads(out)
+        assert sorted(map(sorted, data["cards"])) == sorted(map(sorted, rows))
+
+
 class TestVerifyCommand:
     def test_valid_deck(self, fano_file, capsys):
         code = main(["verify", fano_file])
