@@ -41,12 +41,18 @@ class MultiplicityTable:
 
 
 def multiplicities(deck: Deck) -> MultiplicityTable:
+    """Each symbol's multiplicity, the bit count of its star, and their summary.
+
+    ``histogram`` maps each multiplicity to the number of symbols that have
+    it, built in increasing multiplicity, so its items iterate in that order
+    and no consumer sorts them again.
+    """
     counts = tuple(m.bit_count() for m in deck.stars)
     return MultiplicityTable(
         counts=counts,
         lo=min(counts),
         hi=max(counts),
-        histogram=dict(Counter(counts)),
+        histogram=dict(sorted(Counter(counts).items())),
     )
 
 

@@ -38,7 +38,6 @@ from .analysis import (
     check_kn2_lemma,
     classify,
     find_common_triple,
-    fundamental_number,
     multiplicities,
 )
 from .constructions import build_grid_blocks, build_paired, build_two_symmetric
@@ -100,7 +99,7 @@ def cmd_analyze(args: argparse.Namespace):
     def text():
         yield f"deck: n={deck.order} c={deck.card_count} l={deck.length}"
         yield f"multiplicities: lo={table.lo} hi={table.hi}"
-        yield "histogram: " + " ".join(f"{m}x{k}" for m, k in sorted(table.histogram.items()))
+        yield "histogram: " + " ".join(f"{m}x{k}" for m, k in table.histogram.items())
         yield f"identities: {len(report.checks)}/{len(report.checks)} hold"
         bits = [
             f"symmetric(M={tags.symmetric_multiplicity})" if tags.symmetric else "not symmetric",
@@ -121,7 +120,7 @@ def cmd_analyze(args: argparse.Namespace):
         **deck_payload(deck),
         "valid": True,
         "multiplicities": {deck.tokens[s]: m for s, m in enumerate(table.counts)},
-        "histogram": {str(m): k for m, k in sorted(table.histogram.items())},
+        "histogram": {str(m): k for m, k in table.histogram.items()},
         "identities": {name: True for name in report.checks},
         "classification": {
             "fundamental": tags.fundamental,
@@ -194,8 +193,7 @@ def cmd_extend(args: argparse.Namespace):
 
 
 def cmd_enumerate(args: argparse.Namespace):
-    max_cards = args.cmax if args.cmax is not None else fundamental_number(args.n)
-    result = enumerate_decks(args.n, max_cards, _budget(args.budget))
+    result = enumerate_decks(args.n, args.cmax, _budget(args.budget))
 
     def text():
         for form in result.forms:
@@ -206,7 +204,7 @@ def cmd_enumerate(args: argparse.Namespace):
 
     return EXIT_OK, lambda: {
         "order": args.n,
-        "max_cards": max_cards,
+        "max_cards": result.max_cards,
         "complete": result.complete,
         "nodes": result.nodes,
         "classes": [

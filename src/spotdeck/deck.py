@@ -53,7 +53,7 @@ class InvariantViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deck:
     """An ordered collection of cards over dense integer symbol ids.
 
@@ -65,22 +65,19 @@ class Deck:
     multiplicity of ``s``.  ``order``, ``length`` and ``card_count`` are
     derived: ``order`` is the size of the first card, since uniformity is an
     axiom checked by :func:`validate`, not assumed here.
+
+    The class is slotted: a deck has no instance dict, so no attribute can
+    be added to it.  Two slots are caches that start as ``None``: the result
+    of :func:`validate` and the ``aligned`` masks, each filled on first use.
     """
 
     cards: tuple[tuple[int, ...], ...]
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     stars: tuple[int, ...]
-    # filled on first use by validate() and by the aligned property.  Both
-    # are set by __init__, so filling one replaces a value instead of adding
-    # a key to the instance dict, which would slow every later attribute
-    # read (deck_payload reads deck.tokens c*n times)
-    _validation: ValidationResult | None = field(
-        default_factory=lambda: None, init=False, repr=False, compare=False
-    )
-    _aligned: tuple[int, ...] | None = field(
-        default_factory=lambda: None, init=False, repr=False, compare=False
-    )
+    # filled on first use by validate() and by the aligned property
+    _validation: ValidationResult | None = field(default=None, init=False, repr=False, compare=False)
+    _aligned: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:

@@ -299,13 +299,23 @@ def _is_self_canonical(
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """The classes found, whether the walk ran to the end, its node count and its card cap."""
+
     forms: tuple[CanonicalForm, ...]
     complete: bool
     nodes: int
+    max_cards: int
 
 
-def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) -> EnumerationResult:
+def enumerate_decks(
+    order: int, max_cards: int | None = None, node_budget: int | None = None
+) -> EnumerationResult:
     """All decks of the given order with at most ``max_cards`` cards, one per class.
+
+    ``max_cards`` defaults to the fundamental number n*n - n + 1, which no
+    deck of order n exceeds, so the default walk covers the whole order.
+    The result reports the cap it used.  An order below 2 raises
+    ``ValueError``, as does a cap below 1.
 
     Every state is in normal form: its cards strictly increase and its ids
     are numbered in the order the cards first use them.  Axioms D1 and D4
@@ -345,8 +355,8 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     proof node, which grows with the deck.  ``None`` means no budget; a
     negative one raises ``ValueError``.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    fundamental = fundamental_number(order)  # raises ValueError on an order below 2
+    max_cards = fundamental if max_cards is None else max_cards
     if max_cards < 1:
         raise ValueError("max_cards must be positive")
     if node_budget is not None and node_budget < 0:
@@ -381,7 +391,7 @@ def enumerate_decks(order: int, max_cards: int, node_budget: int | None = None) 
     except _OutOfBudget:
         complete = False
     found.sort(key=lambda form: (len(form.cards), form.cards))
-    return EnumerationResult(forms=tuple(found), complete=complete, nodes=budget.used)
+    return EnumerationResult(forms=tuple(found), complete=complete, nodes=budget.used, max_cards=max_cards)
 
 
 @dataclass(frozen=True)
@@ -417,12 +427,11 @@ def census(order: int, max_cards: int | None = None, node_budget: int | None = N
     """Group all classes of the given order and report (order, cards, length) collisions.
 
     A collision is a triple realized by at least two non-isomorphic decks,
-    which would answer the uniqueness question negatively.  ``max_cards``
-    defaults to the fundamental number, an upper bound no deck of the order
-    can exceed.
+    which would answer the uniqueness question negatively.  The classes come
+    from :func:`enumerate_decks`, which takes ``max_cards`` as given, the
+    fundamental number when it is ``None``.  Each entry's histogram is the
+    multiplicity histogram's items, in increasing multiplicity.
     """
-    if max_cards is None:
-        max_cards = fundamental_number(order)
     result = enumerate_decks(order, max_cards, node_budget)
     keyed: list[tuple[tuple, str]] = []
     for form in result.forms:
@@ -432,7 +441,7 @@ def census(order: int, max_cards: int | None = None, node_budget: int | None = N
         key = (
             deck.card_count,
             deck.length,
-            tuple(sorted(multiplicities(deck).histogram.items())),
+            tuple(multiplicities(deck).histogram.items()),
             tags.symmetric,
             tags.paired,
             is_maximal(deck).exact,
@@ -482,17 +491,17 @@ def probe_length_conjecture(order: int, node_budget: int | None = None) -> Lengt
     """Search every deck of the order for a length above the fundamental number.
 
     The card count of any deck is bounded by the fundamental number, so
-    enumerating up to that many cards covers the whole order.  A witness
-    would answer an open question and is surfaced loudly; absence is asserted
-    only when the search ran to exhaustion.
+    enumerating up to that many cards, the default cap of
+    :func:`enumerate_decks`, covers the whole order.  A witness would answer
+    an open question and is surfaced loudly; absence is asserted only when
+    the search ran to exhaustion.
     """
-    delta = fundamental_number(order)
-    result = enumerate_decks(order, delta, node_budget)
+    result = enumerate_decks(order, node_budget=node_budget)
     max_length = max((form.length for form in result.forms), default=0)
-    witness = next((form for form in result.forms if form.length > delta), None)
+    witness = next((form for form in result.forms if form.length > result.max_cards), None)
     return LengthProbeReport(
         order=order,
-        fundamental=delta,
+        fundamental=result.max_cards,
         classes_seen=len(result.forms),
         max_length=max_length,
         witness=witness,

@@ -68,7 +68,7 @@ def prop_condition_holds(deck: Deck) -> bool:
     n, c = deck.order, deck.card_count
     dp = [0] * (n + 1)
     dp[0] = 1
-    for value, available in sorted(table.histogram.items()):
+    for value, available in table.histogram.items():
         take_max = min(available, n)
         for j in range(n, 0, -1):
             acc = 0
@@ -153,14 +153,16 @@ def is_maximal(deck: Deck) -> MaximalityVerdict:
     sufficient condition => subset-sum condition => no extension exists.
     ``find_extension`` runs the exact search only when the subset-sum test
     fails, so that test decides the last link; the tests check it against
-    the unbounded search.  An invalid deck raises ``InvalidDeckError`` in
-    ``find_extension`` before any test runs; on a valid deck a min-sum pass
-    with a subset-sum failure, or an extension that fails re-validation,
-    raises ``InvariantViolation``.
+    the unbounded search.  When ``find_extension`` returns a card the
+    subset-sum condition fails, since that card's multiplicities sum to the
+    card count, so the test runs again here only on a deck without one.  An
+    invalid deck raises ``InvalidDeckError`` in ``find_extension`` before
+    any test runs; on a valid deck a min-sum pass with a subset-sum failure,
+    or an extension that fails re-validation, raises ``InvariantViolation``.
     """
     extension = find_extension(deck)
     sufficient = sufficient_maximal(deck)
-    prop_holds = prop_condition_holds(deck)
+    prop_holds = extension is None and prop_condition_holds(deck)
     if sufficient and not prop_holds:
         raise InvariantViolation("min-sum test passed but some n multiplicities sum to c")
     if extension is not None:

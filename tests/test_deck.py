@@ -59,12 +59,12 @@ class TestNormalize:
             assert sum(1 << s for s in card) == sum(1 << s for s, m in enumerate(fano.stars) if m >> i & 1)
 
     def test_alignment_is_built_on_first_read(self, fano):
-        # kept in a field that __init__ sets: the first read replaces its value
-        # and adds no instance attribute
-        keys = list(vars(fano))
+        # kept in a slot that starts as None: a deck has no instance dict, so
+        # the first read fills the slot and can add no attribute
+        assert not hasattr(fano, "__dict__")
         assert fano._aligned is None
         aligned = fano.aligned
-        assert list(vars(fano)) == keys
+        assert not hasattr(fano, "__dict__")
         assert fano._aligned is aligned
         assert fano.aligned is aligned
         partners = [set() for _ in range(fano.length)]
@@ -74,10 +74,11 @@ class TestNormalize:
         assert aligned == tuple(sum(1 << t for t in others) for others in partners)
 
     def test_validation_is_kept_on_first_call(self, fano):
-        # like _aligned, _validation is set by __init__: validate replaces its value
-        keys = list(vars(fano))
+        # like _aligned, _validation is a slot: validate fills it and adds no attribute
+        assert fano._validation is None
         result = validate(fano)
-        assert list(vars(fano)) == keys
+        assert not hasattr(fano, "__dict__")
+        assert fano._validation is result
         assert validate(fano) is result
 
     def test_integer_tokens_coerced_to_strings(self):
