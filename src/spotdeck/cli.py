@@ -141,6 +141,8 @@ def cmd_analyze(args: argparse.Namespace):
 
 
 def cmd_build(args: argparse.Namespace):
+    if args.blocks is not None and args.kind != "grid":
+        raise ValueError("--blocks applies to grid decks only")
     if args.kind == "two-symmetric":
         deck = build_two_symmetric(args.n)
     elif args.kind == "paired":

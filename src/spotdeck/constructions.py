@@ -173,14 +173,14 @@ def build_paired(n: int) -> Deck:
 def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
     """Drop the given cards from a valid deck, renormalize, and re-validate.
 
-    An invalid input deck raises ``InvalidDeckError`` first.  Symbols no
-    longer on any card disappear and the length shrinks; a symbol left on
-    exactly one card breaks axiom D2 and aborts the removal with the
-    offending symbols as witnesses.  Removing cards from a valid deck can
-    break no other axiom, so any other violation is a bug and raises
-    ``InvariantViolation``.
+    The indices are checked first: none, one out of range, or all of them
+    raise ``ValueError``.  Then an invalid input deck raises
+    ``InvalidDeckError``.  Symbols no longer on any card disappear and the
+    length shrinks; a symbol left on exactly one card breaks axiom D2 and
+    aborts the removal with the offending symbols as witnesses.  Removing
+    cards from a valid deck can break no other axiom, so any other violation
+    is a bug and raises ``InvariantViolation``.
     """
-    require_valid(deck)
     chosen = set(indices)
     if not chosen:
         raise ValueError("nothing to remove")
@@ -188,6 +188,7 @@ def remove_cards(deck: Deck, indices: Sequence[int]) -> Deck:
         raise ValueError("card index out of range")
     if len(chosen) >= deck.card_count:
         raise ValueError("cannot remove every card")
+    require_valid(deck)
     rows = [deck.card_tokens(i) for i in range(deck.card_count) if i not in chosen]
     trimmed = normalize(rows)
     result = validate(trimmed)

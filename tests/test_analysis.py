@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,8 +23,8 @@ from spotdeck.analysis import (
     multiplicities,
     paired_existence,
 )
-from spotdeck.constructions import build_paired, build_two_symmetric
-from spotdeck.deck import InvariantViolation, validate
+from spotdeck.constructions import build_grid_blocks, build_paired, build_two_symmetric
+from spotdeck.deck import InvariantViolation, normalize, validate
 
 
 class TestMultiplicities:
@@ -37,6 +38,23 @@ class TestMultiplicities:
         table = multiplicities(three_block)
         assert table.histogram == {3: 36, 6: 3}
         assert (table.lo, table.hi) == (3, 6)
+
+    def test_histogram_in_increasing_multiplicity(self):
+        rng = random.Random(26)
+        decks = [build_paired(n) for n in (3, 4, 8)] + [build_two_symmetric(n) for n in (3, 6)]
+        decks += [build_grid_blocks(7, 3), build_grid_blocks(10, 4), build_grid_blocks(12, 2)]
+        decks += [
+            normalize([rng.sample(range(12), rng.randint(1, 5)) for _ in range(rng.randint(1, 9))])
+            for _ in range(200)
+        ]
+        unsorted = 0  # decks whose symbols do not meet the multiplicities in increasing order
+        for deck in decks:
+            table = multiplicities(deck)
+            first_seen = Counter(table.counts)
+            assert table.histogram == first_seen
+            assert list(table.histogram) == sorted(table.histogram)
+            unsorted += list(first_seen) != sorted(first_seen)
+        assert unsorted > 10
 
     def test_two_symmetric_order_3(self, two_sym_3):
         table = multiplicities(two_sym_3)

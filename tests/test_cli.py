@@ -284,6 +284,15 @@ class TestBuildCommand:
     def test_grid_needs_blocks(self, capsys):
         assert main(["build", "grid", "--n", "7"]) == 2
 
+    @pytest.mark.parametrize("kind", ["paired --n 4 --blocks 7", "two-symmetric --n 3 --blocks 2"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_blocks_only_for_grid(self, kind, mode, capsys):
+        # the deck would build without the option; a stray --blocks is a usage error
+        assert main(["build", *kind.split(), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --blocks applies to grid decks only\n"
+
     def test_json_build(self, capsys):
         assert main(["build", "paired", "--n", "3", "--json"]) == 0
         captured = capsys.readouterr()

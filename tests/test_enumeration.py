@@ -196,6 +196,20 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_decks(3, 0)
 
+    def test_default_cap_is_the_fundamental_number(self):
+        for order in (2, 3):
+            result = enumerate_decks(order)
+            assert result.max_cards == fundamental_number(order)
+            assert result == enumerate_decks(order, fundamental_number(order))
+        assert enumerate_decks(4, node_budget=50).max_cards == 13
+        for cap in (1, 4, 30):
+            assert enumerate_decks(3, cap).max_cards == cap
+
+    def test_orders_below_2_rejected(self):
+        for run in (lambda: enumerate_decks(1), lambda: enumerate_decks(1, 5), lambda: census(1)):
+            with pytest.raises(ValueError, match=r"^order must be at least 2$"):
+                run()
+
     def test_negative_budget_rejected(self):
         # a negative budget is an error, not an unlimited or an empty run
         with pytest.raises(ValueError, match="node_budget must not be negative"):
@@ -231,6 +245,17 @@ class TestCensus:
         )
         assert got == expected
         assert [list(t) for t, _ in report.collisions] == golden["collisions"]
+
+    def test_classes_sharing_a_key_are_counted_and_collide(self, monkeypatch):
+        # no two classes of orders 2-4 share a key, so the walk is stubbed to
+        # return the 7-card class of order 3 twice
+        form = enumerate_decks(3).forms[-1]
+        twice = enumeration.EnumerationResult(forms=(form, form), complete=True, nodes=2, max_cards=7)
+        monkeypatch.setattr(enumeration, "enumerate_decks", lambda *args: twice)
+        report = census(3)
+        assert [e.classes_with_key for e in report.entries] == [2, 2]
+        assert report.collisions == (((3, 7, 7), (form.digest(), form.digest())),)
+        assert (report.complete, report.nodes) == (True, 2)
 
     def test_order_3_flags(self, fano):
         report = census(3)

@@ -94,12 +94,16 @@ def test_invalid_deck_error_is_a_deck_error():
     assert not issubclass(InvalidDeckError, InvariantViolation)
 
 
-def test_spot_helpers_check_their_arguments_then_the_deck():
-    # paired(4) with one token of its last card replaced: D1 and D2 break
+def corrupted_paired_4():
+    """paired(4) with one token of its last card replaced: D1 and D2 break."""
     paired_4 = parse_deck_text(PAIRED_4_TEXT)
     rows = [list(paired_4.card_tokens(i)) for i in range(paired_4.card_count)]
     rows[-1][0] = "fresh"
-    deck = normalize(rows)
+    return normalize(rows)
+
+
+def test_spot_helpers_check_their_arguments_then_the_deck():
+    deck = corrupted_paired_4()
     for check in (
         lambda: check_kn2_lemma(deck, range(6), 1),
         lambda: find_common_triple(deck, range(5)),
@@ -111,6 +115,21 @@ def test_spot_helpers_check_their_arguments_then_the_deck():
         check_kn2_lemma(deck, range(5), 1)
     with pytest.raises(ValueError, match=r"n\+1"):
         find_common_triple(deck, range(4))
+
+
+def test_remove_cards_checks_its_indices_then_the_deck():
+    deck = corrupted_paired_4()
+    for indices, message in (
+        ([], "nothing to remove"),
+        ([0, 13], "out of range"),
+        ([-1], "out of range"),
+        (range(13), "every card"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            remove_cards(deck, indices)
+    with pytest.raises(InvalidDeckError) as err:
+        remove_cards(deck, [0])
+    assert err.value.violations == validate(deck).violations
 
 
 def test_fuzzed_decks_never_raise_invariant_violation():

@@ -18,7 +18,7 @@ from spotdeck.constructions import (
     remove_cards,
 )
 from spotdeck.deck import normalize, validate
-from spotdeck.enumeration import canonical_form
+from spotdeck.enumeration import canonical_form, enumerate_decks
 from spotdeck.maximality import (
     _transversals,
     complete,
@@ -220,6 +220,26 @@ class TestIsMaximal:
         assert verdict.extension is not None
         assert not verdict.sufficient_corollary
         assert not verdict.prop_condition
+
+    def test_subset_sum_runs_again_only_without_an_extension(
+        self, fano, fano_minus_one, three_block, two_sym_3, monkeypatch
+    ):
+        # an extension card's multiplicities sum to c, so once find_extension
+        # returns one the subset-sum condition fails without a second run
+        decks = [fano, fano_minus_one, three_block, two_sym_3, build_paired(8), *trimmed_decks()]
+        decks += [form.to_deck() for order in (2, 3, 4) for form in enumerate_decks(order).forms]
+        expected = [
+            (sufficient_maximal(deck), prop_condition_holds(deck), find_extension(deck)) for deck in decks
+        ]
+        calls = []
+        original = maximality.prop_condition_holds
+        monkeypatch.setattr(maximality, "prop_condition_holds", lambda deck: calls.append(deck) or original(deck))
+        for deck, fields in zip(decks, expected):
+            calls.clear()
+            verdict = is_maximal(deck)
+            assert (verdict.sufficient_corollary, verdict.prop_condition, verdict.extension) == fields
+            assert len(calls) == (2 if verdict.exact else 1)
+        assert {fields[2] is None for fields in expected} == {False, True}
 
     def test_triangle_is_maximal(self):
         verdict = is_maximal(build_two_symmetric(2))
