@@ -75,7 +75,6 @@ class Deck:
     tokens: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     stars: tuple[int, ...]
-    # filled on first use by validate() and by the aligned property
     _validation: ValidationResult | None = field(default=None, init=False, repr=False, compare=False)
     _aligned: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
